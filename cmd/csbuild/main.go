@@ -19,6 +19,7 @@ import (
 	"csrank/internal/index"
 	"csrank/internal/selection"
 	"csrank/internal/shard"
+	"csrank/internal/views"
 )
 
 func main() {
@@ -142,8 +143,18 @@ func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64
 	fmt.Printf("wrote %s: %.2f MB as %s in %s (%.2f bytes/posting on disk)\n",
 		indexPath, float64(st.Size())/(1<<20), formatName, saveTime.Round(time.Millisecond),
 		float64(st.Size())/float64(max64(totalPostings(ix), 1)))
-	fmt.Printf("wrote %s (views: %.2f MB)\n",
-		filepath.Join(out, "views.gob"), float64(m.Catalog.TotalBytes())/(1<<20))
+	return reportViews(filepath.Join(out, "views.gob"), m.Catalog)
+}
+
+// reportViews prints the size of a written views.gob next to the §6.2
+// storage estimate of the views it holds, which is not a file size.
+func reportViews(path string, cat *views.Catalog) error {
+	st, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s: %.2f MB on disk (§6.2 view storage estimate %.2f MB)\n",
+		path, float64(st.Size())/(1<<20), float64(cat.TotalBytes())/(1<<20))
 	return nil
 }
 
@@ -207,10 +218,14 @@ func runSharded(out string, c *corpus.Corpus, tcFrac float64, tv int, seed int64
 		if err := save(filepath.Join(sd, "index.gob")); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		if err := m.Catalog.SaveFile(filepath.Join(sd, "views.gob")); err != nil {
+		viewsPath := filepath.Join(sd, "views.gob")
+		if err := m.Catalog.SaveFile(viewsPath); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		fmt.Printf("  shard %d: %d docs, %d views (T_C=%d)\n", i, len(part), m.Catalog.Len(), tc)
+		if err := reportViews(viewsPath, m.Catalog); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
 	}
 	if err := shard.SaveManifest(out, shard.NewManifest(len(c.Docs), shards)); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -173,6 +174,11 @@ func (c *Catalog) MeanSize() float64 {
 }
 
 // persistence ----------------------------------------------------------
+//
+// Framed snapshots of catalog format 2 store each view's flat layout as
+// is. Format 1 framed snapshots, and raw gob files from before framing,
+// store one record per group with df/tc maps; Encode and Decode keep
+// that format for SaveFileLegacy and read it into the flat layout.
 
 type persistentGroup struct {
 	Key   string
@@ -194,7 +200,29 @@ type persistentCatalog struct {
 	Views            []persistentView
 }
 
-// Encode serializes the catalog with encoding/gob.
+// flatView is one view in catalog format 2: Patterns, Count and Len hold
+// the non-empty groups, and the per-word columns are concatenated —
+// tracked word c's cells are Group, DF and TC[ColStart[c]:ColStart[c+1]].
+type flatView struct {
+	K        []string
+	Tracked  []string
+	Patterns []uint64
+	Count    []int64
+	Len      []int64
+	ColStart []int64
+	Group    []int32
+	DF       []int64
+	TC       []int64
+}
+
+type flatCatalog struct {
+	ContextThreshold int64
+	ViewSizeLimit    int
+	Views            []flatView
+}
+
+// Encode serializes the catalog with encoding/gob in the legacy
+// per-group format (the payload of format 1 and of pre-frame files).
 func (c *Catalog) Encode(w io.Writer) error {
 	p := persistentCatalog{
 		ContextThreshold: c.ContextThreshold,
@@ -203,13 +231,18 @@ func (c *Catalog) Encode(w io.Writer) error {
 	}
 	for i, v := range c.views {
 		pv := persistentView{K: v.k, Tracked: v.TrackedWords()}
-		for key, g := range v.groups {
-			pv.Groups = append(pv.Groups, persistentGroup{
-				Key: key, Count: g.Count, Len: g.Len, DF: g.DF, TC: g.TC,
-			})
+		r := v.rows()
+		// liveKeys is sorted: deterministic output order.
+		for _, key := range v.liveKeys() {
+			g := v.group[key]
+			pg := persistentGroup{Key: key, Count: v.counts[g], Len: v.lens[g],
+				DF: make(map[string]int64), TC: make(map[string]int64)}
+			for j := r.start[g]; j < r.start[g+1]; j++ {
+				w := v.tracked[r.word[j]]
+				pg.DF[w], pg.TC[w] = r.df[j], r.tc[j]
+			}
+			pv.Groups = append(pv.Groups, pg)
 		}
-		// Deterministic output order.
-		sort.Slice(pv.Groups, func(a, b int) bool { return pv.Groups[a].Key < pv.Groups[b].Key })
 		p.Views[i] = pv
 	}
 	return gob.NewEncoder(w).Encode(&p)
@@ -223,40 +256,221 @@ func Decode(r io.Reader) (*Catalog, error) {
 	}
 	vs := make([]*View, len(p.Views))
 	for i, pv := range p.Views {
-		v := newView(pv.K)
-		for _, w := range pv.Tracked {
-			v.tracked[w] = true
-		}
-		for _, g := range pv.Groups {
-			// Aggregates of a group-by over real documents are
-			// non-negative by construction; a negative value can only be
-			// corruption and would silently poison every ranking that
-			// consults this view.
-			if g.Count < 0 || g.Len < 0 {
-				return nil, fmt.Errorf("views: decode: view %d group %x has negative aggregates (count=%d len=%d)", i, g.Key, g.Count, g.Len)
-			}
-			for w, df := range g.DF {
-				if df < 0 || g.TC[w] < 0 {
-					return nil, fmt.Errorf("views: decode: view %d group %x has negative df/tc for %q", i, g.Key, w)
-				}
-			}
-			grp := &Group{Count: g.Count, Len: g.Len, DF: g.DF, TC: g.TC}
-			if grp.DF == nil {
-				grp.DF = make(map[string]int64)
-			}
-			if grp.TC == nil {
-				grp.TC = make(map[string]int64)
-			}
-			v.groups[g.Key] = grp
+		v, err := fromLegacy(pv)
+		if err != nil {
+			return nil, fmt.Errorf("views: decode: view %d: %w", i, err)
 		}
 		vs[i] = v
 	}
 	return NewCatalog(vs, p.ContextThreshold, p.ViewSizeLimit), nil
 }
 
+// fromLegacy converts one per-group view record to the flat layout.
+func fromLegacy(pv persistentView) (*View, error) {
+	if !strictlySorted(pv.K) {
+		return nil, fmt.Errorf("keyword columns %q are not sorted and distinct", pv.K)
+	}
+	v := newView(pv.K, pv.Tracked)
+	groups := pv.Groups
+	sort.Slice(groups, func(a, b int) bool { return groups[a].Key < groups[b].Key })
+	for _, pg := range groups {
+		if want := (len(v.k) + 7) / 8; len(pg.Key) != want {
+			return nil, fmt.Errorf("group %x has a %d-byte pattern, want %d", pg.Key, len(pg.Key), want)
+		}
+		if _, dup := v.group[pg.Key]; dup {
+			return nil, fmt.Errorf("group %x appears twice", pg.Key)
+		}
+		g := v.addGroup(pg.Key)
+		v.counts[g], v.lens[g] = pg.Count, pg.Len
+		// Groups are visited in slot order, so appending keeps every
+		// column sorted by group.
+		for w, df := range pg.DF {
+			tc := pg.TC[w]
+			if df < 0 || tc < 0 {
+				return nil, fmt.Errorf("group %x has negative df/tc for %q", pg.Key, w)
+			}
+			c, ok := v.col[w]
+			switch {
+			case df == 0:
+				continue
+			case !ok:
+				return nil, fmt.Errorf("group %x has df/tc for untracked word %q", pg.Key, w)
+			}
+			col := &v.cols[c]
+			col.group = append(col.group, g)
+			col.df = append(col.df, df)
+			col.tc = append(col.tc, tc)
+		}
+	}
+	v.size = len(v.counts)
+	return v, v.check()
+}
+
+// encodeFlat serializes the catalog in format 2.
+func (c *Catalog) encodeFlat(w io.Writer) error {
+	p := flatCatalog{
+		ContextThreshold: c.ContextThreshold,
+		ViewSizeLimit:    c.ViewSizeLimit,
+		Views:            make([]flatView, len(c.views)),
+	}
+	for i, v := range c.views {
+		p.Views[i] = v.flat()
+	}
+	return gob.NewEncoder(w).Encode(&p)
+}
+
+// flat renders the view in format 2, renumbering the non-empty groups
+// densely.
+func (v *View) flat() flatView {
+	fv := flatView{
+		K:        v.k,
+		Tracked:  v.tracked,
+		Patterns: make([]uint64, 0, v.size*v.words),
+		Count:    make([]int64, 0, v.size),
+		Len:      make([]int64, 0, v.size),
+		ColStart: make([]int64, len(v.cols)+1),
+	}
+	slot := make([]int32, len(v.counts))
+	for g, n := range v.counts {
+		if n == 0 {
+			continue
+		}
+		slot[g] = int32(len(fv.Count))
+		fv.Patterns = append(fv.Patterns, v.pats[g*v.words:(g+1)*v.words]...)
+		fv.Count = append(fv.Count, n)
+		fv.Len = append(fv.Len, v.lens[g])
+	}
+	for c, col := range v.cols {
+		for j, g := range col.group {
+			fv.Group = append(fv.Group, slot[g])
+			fv.DF = append(fv.DF, col.df[j])
+			fv.TC = append(fv.TC, col.tc[j])
+		}
+		fv.ColStart[c+1] = int64(len(fv.Group))
+	}
+	return fv
+}
+
+// decodeFlat deserializes a catalog written by encodeFlat.
+func decodeFlat(r io.Reader) (*Catalog, error) {
+	var p flatCatalog
+	if err := gob.NewDecoder(r).Decode(&p); err != nil {
+		return nil, fmt.Errorf("views: decode: %w", err)
+	}
+	vs := make([]*View, len(p.Views))
+	for i, fv := range p.Views {
+		v, err := fromFlat(fv)
+		if err != nil {
+			return nil, fmt.Errorf("views: decode: view %d: %w", i, err)
+		}
+		vs[i] = v
+	}
+	return NewCatalog(vs, p.ContextThreshold, p.ViewSizeLimit), nil
+}
+
+// fromFlat adopts one format 2 view record as the view's arrays, after
+// checking that every length and offset fits.
+func fromFlat(fv flatView) (*View, error) {
+	if !strictlySorted(fv.K) {
+		return nil, fmt.Errorf("keyword columns %q are not sorted and distinct", fv.K)
+	}
+	if !strictlySorted(fv.Tracked) {
+		return nil, fmt.Errorf("tracked words are not sorted and distinct")
+	}
+	v := newView(fv.K, fv.Tracked)
+	n := len(fv.Count)
+	switch {
+	case n > math.MaxInt32:
+		return nil, fmt.Errorf("%d groups exceed the group id range", n)
+	case len(fv.Len) != n || len(fv.Patterns) != n*v.words:
+		return nil, fmt.Errorf("%d groups but %d lengths and %d pattern words (%d per group)", n, len(fv.Len), len(fv.Patterns), v.words)
+	case len(fv.ColStart) != len(v.cols)+1:
+		return nil, fmt.Errorf("%d column offsets for %d tracked words", len(fv.ColStart), len(v.cols))
+	case len(fv.DF) != len(fv.Group) || len(fv.TC) != len(fv.Group):
+		return nil, fmt.Errorf("%d cell groups but %d df and %d tc values", len(fv.Group), len(fv.DF), len(fv.TC))
+	case fv.ColStart[0] != 0 || fv.ColStart[len(v.cols)] != int64(len(fv.Group)):
+		return nil, fmt.Errorf("column offsets span [%d, %d), want [0, %d)", fv.ColStart[0], fv.ColStart[len(v.cols)], len(fv.Group))
+	}
+	for c := range v.cols {
+		lo, hi := fv.ColStart[c], fv.ColStart[c+1]
+		if hi < lo || hi > int64(len(fv.Group)) {
+			return nil, fmt.Errorf("column %q has offsets [%d, %d) outside [0, %d)", v.tracked[c], lo, hi, len(fv.Group))
+		}
+		// Capped slices: a later insertion reallocates rather than
+		// overwriting the next column's cells.
+		v.cols[c] = column{group: fv.Group[lo:hi:hi], df: fv.DF[lo:hi:hi], tc: fv.TC[lo:hi:hi]}
+	}
+	v.pats, v.counts, v.lens, v.size = fv.Patterns, fv.Count, fv.Len, n
+	if err := v.check(); err != nil {
+		return nil, err
+	}
+	for g := range v.counts {
+		key := v.key(int32(g))
+		if _, dup := v.group[key]; dup {
+			return nil, fmt.Errorf("group %x appears twice", key)
+		}
+		v.group[key] = int32(g)
+	}
+	return v, nil
+}
+
+// check verifies the invariants a decoded view must hold before it may
+// answer queries or be maintained: every group is non-empty with
+// non-negative aggregates and no pattern bit beyond |K|, and every
+// column's cells name distinct groups in ascending order, each with
+// 1 ≤ df ≤ the group's count and tc ≥ 0. Aggregates of a group-by over
+// real documents hold these by construction; a violation can only be
+// corruption, which would silently poison every ranking that consults
+// the view.
+func (v *View) check() error {
+	var beyond uint64 // pattern bits past |K| in a group's last word
+	if r := len(v.k) % 64; r != 0 {
+		beyond = ^uint64(0) << r
+	}
+	for g, n := range v.counts {
+		if n < 0 || v.lens[g] < 0 {
+			return fmt.Errorf("group %d has negative aggregates (count=%d len=%d)", g, n, v.lens[g])
+		}
+		if n == 0 {
+			return fmt.Errorf("group %d is empty", g)
+		}
+		if v.words > 0 && v.pats[(g+1)*v.words-1]&beyond != 0 {
+			return fmt.Errorf("group %d sets pattern bits beyond |K|=%d", g, len(v.k))
+		}
+	}
+	for c, col := range v.cols {
+		w := v.tracked[c]
+		for j, g := range col.group {
+			switch {
+			case g < 0 || int(g) >= len(v.counts):
+				return fmt.Errorf("column %q names group %d of %d", w, g, len(v.counts))
+			case j > 0 && g <= col.group[j-1]:
+				return fmt.Errorf("column %q is not strictly sorted by group at cell %d", w, j)
+			case col.df[j] < 0 || col.tc[j] < 0:
+				return fmt.Errorf("group %d has negative df/tc for %q", g, w)
+			case col.df[j] == 0:
+				return fmt.Errorf("column %q has an empty cell for group %d", w, g)
+			case col.df[j] > v.counts[g]:
+				return fmt.Errorf("group %d has df(%s)=%d above its count %d", g, w, col.df[j], v.counts[g])
+			}
+		}
+	}
+	return nil
+}
+
+func strictlySorted(s []string) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // CatalogFormatVersion is the app-level version recorded in the framed
-// snapshot header for catalog payloads.
-const CatalogFormatVersion = 1
+// snapshot header for catalog payloads: 2 is the flat layout, 1 the
+// legacy per-group records (still read).
+const CatalogFormatVersion = 2
 
 // WriteSnapshot writes the catalog to w in the framed snapshot format:
 // magic header, format version, per-section CRC32-C, whole-file trailer.
@@ -265,15 +479,15 @@ func (c *Catalog) WriteSnapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := c.Encode(sw); err != nil {
+	if err := c.encodeFlat(sw); err != nil {
 		return err
 	}
 	return sw.Close()
 }
 
-// ReadSnapshot reads a catalog from either a framed snapshot or a legacy
-// raw-gob stream (sniffed by magic), verifying all checksums in the
-// framed case.
+// ReadSnapshot reads a catalog from a framed snapshot of format 2 or 1,
+// or from a legacy raw-gob stream (sniffed by magic), verifying all
+// checksums in the framed case.
 func ReadSnapshot(r io.Reader) (*Catalog, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	prefix, err := br.Peek(len(snapshot.Magic))
@@ -287,7 +501,15 @@ func ReadSnapshot(r io.Reader) (*Catalog, error) {
 	if kind := sr.Header().Kind; kind != snapshot.KindViews {
 		return nil, fmt.Errorf("views: snapshot holds payload kind %d, want %d (views)", kind, snapshot.KindViews)
 	}
-	c, err := Decode(sr)
+	var c *Catalog
+	switch v := sr.Header().PayloadVersion; v {
+	case CatalogFormatVersion:
+		c, err = decodeFlat(sr)
+	case 1:
+		c, err = Decode(sr)
+	default:
+		return nil, fmt.Errorf("views: unsupported catalog format version %d", v)
+	}
 	if err != nil {
 		return nil, err
 	}

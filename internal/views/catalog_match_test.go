@@ -10,10 +10,13 @@ import (
 // groups (Match consults only K and Size, so the groups can be empty
 // shells).
 func fakeView(k []string, size int) *View {
-	v := newView(k)
+	v := newView(k, nil)
 	for j := 0; j < size; j++ {
-		v.groups[fmt.Sprintf("g%d", j)] = &Group{DF: map[string]int64{}, TC: map[string]int64{}}
+		v.pats = append(v.pats, make([]uint64, v.words)...)
+		v.counts = append(v.counts, 1)
+		v.lens = append(v.lens, 0)
 	}
+	v.size = size
 	return v
 }
 

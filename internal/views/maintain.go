@@ -26,17 +26,18 @@ type DocUpdate struct {
 // incremented (the group is created if it was empty).
 func (v *View) Apply(u DocUpdate) {
 	key := v.patternOf(u.Predicates)
-	g := v.groups[key]
-	if g == nil {
-		g = &Group{DF: make(map[string]int64), TC: make(map[string]int64)}
-		v.groups[key] = g
+	g, ok := v.group[key]
+	if !ok {
+		g = v.addGroup(key)
 	}
-	g.Count++
-	g.Len += u.Len
+	if v.counts[g] == 0 {
+		v.size++
+	}
+	v.counts[g]++
+	v.lens[g] += u.Len
 	for w, tf := range u.TF {
-		if tf > 0 && v.tracked[w] {
-			g.DF[w]++
-			g.TC[w] += tf
+		if c, ok := v.col[w]; ok && tf > 0 {
+			v.cols[c].add(g, 1, tf)
 		}
 	}
 }
@@ -59,34 +60,43 @@ func (v *View) Remove(u DocUpdate) error {
 	return nil
 }
 
+// cell returns group g's df and tc in column c (zero when it has none).
+func (v *View) cell(c int, g int32) (df, tc int64) {
+	col := &v.cols[c]
+	if i, ok := col.find(g); ok {
+		return col.df[i], col.tc[i]
+	}
+	return 0, 0
+}
+
 // checkRemove validates that removing u from the group at key keeps
 // every aggregate consistent, without mutating anything.
 func (v *View) checkRemove(key string, u DocUpdate) error {
-	g := v.groups[key]
-	if g == nil {
+	g, ok := v.live(key)
+	if !ok {
 		return fmt.Errorf("views: remove from unknown group %x (document was never applied with this pattern)", key)
 	}
-	if g.Count < 1 {
-		return fmt.Errorf("views: group %x count %d would underflow", key, g.Count)
+	count, length := v.counts[g], v.lens[g]
+	if length < u.Len {
+		return fmt.Errorf("views: group %x len %d < removed document len %d", key, length, u.Len)
 	}
-	if g.Len < u.Len {
-		return fmt.Errorf("views: group %x len %d < removed document len %d", key, g.Len, u.Len)
-	}
-	if g.Count == 1 && g.Len != u.Len {
-		return fmt.Errorf("views: removing the last document of group %x leaves residual len %d", key, g.Len-u.Len)
+	if count == 1 && length != u.Len {
+		return fmt.Errorf("views: removing the last document of group %x leaves residual len %d", key, length-u.Len)
 	}
 	for w, tf := range u.TF {
-		if tf <= 0 || !v.tracked[w] {
+		c, ok := v.col[w]
+		if tf <= 0 || !ok {
 			continue
 		}
-		if g.DF[w] < 1 {
+		df, tc := v.cell(c, g)
+		if df < 1 {
 			return fmt.Errorf("views: group %x df(%s) would underflow", key, w)
 		}
-		if g.TC[w] < tf {
-			return fmt.Errorf("views: group %x tc(%s) %d < removed tf %d", key, w, g.TC[w], tf)
+		if tc < tf {
+			return fmt.Errorf("views: group %x tc(%s) %d < removed tf %d", key, w, tc, tf)
 		}
-		if g.DF[w] == 1 && g.TC[w] != tf {
-			return fmt.Errorf("views: removing the last %s-document of group %x leaves residual tc %d", w, key, g.TC[w]-tf)
+		if df == 1 && tc != tf {
+			return fmt.Errorf("views: removing the last %s-document of group %x leaves residual tc %d", w, key, tc-tf)
 		}
 	}
 	return nil
@@ -94,26 +104,37 @@ func (v *View) checkRemove(key string, u DocUpdate) error {
 
 // removeUnchecked applies a removal already validated by checkRemove.
 func (v *View) removeUnchecked(key string, u DocUpdate) {
-	g := v.groups[key]
-	g.Count--
-	g.Len -= u.Len
+	g := v.group[key]
+	v.counts[g]--
+	v.lens[g] -= u.Len
 	for w, tf := range u.TF {
-		if tf > 0 && v.tracked[w] {
-			g.DF[w]--
-			g.TC[w] -= tf
-			if g.DF[w] <= 0 {
-				delete(g.DF, w)
-				delete(g.TC, w)
-			}
+		c, ok := v.col[w]
+		if tf <= 0 || !ok {
+			continue
+		}
+		col := &v.cols[c]
+		i, _ := col.find(g)
+		col.df[i]--
+		col.tc[i] -= tf
+		if col.df[i] <= 0 {
+			col.drop(i)
 		}
 	}
-	if g.Count <= 0 {
-		delete(v.groups, key)
+	if v.counts[g] <= 0 {
+		// The emptied group leaves ViewSize, and with it any cells an
+		// update that under-reported its words left behind.
+		v.counts[g], v.lens[g] = 0, 0
+		v.size--
+		for c := range v.cols {
+			if i, ok := v.cols[c].find(g); ok {
+				v.cols[c].drop(i)
+			}
+		}
 	}
 }
 
 // patternOf packs the membership bit pattern of the given predicate
-// terms over K.
+// terms over K, in the layout of key.
 func (v *View) patternOf(predicates []string) string {
 	buf := make([]byte, (len(v.k)+7)/8)
 	for _, p := range predicates {

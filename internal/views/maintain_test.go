@@ -41,7 +41,7 @@ func updatesFor(ix *index.Index, words []string) []DocUpdate {
 // buildMaintIndex builds two indexes: one over docs[:cut] and one over
 // all docs, so incremental application can be compared against
 // re-materialization.
-func buildMaintIndex(t *testing.T, seed int64, n int) (*index.Index, []index.Document) {
+func buildMaintIndex(t testing.TB, seed int64, n int) (*index.Index, []index.Document) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	meshTerms := []string{"m0", "m1", "m2", "m3", "m4", "m5"}
@@ -224,12 +224,12 @@ func TestRemoveUnknownGroupErrors(t *testing.T) {
 		nil,
 	}
 	for _, c := range combos {
-		if v.groups[v.patternOf(c)] == nil {
+		if _, ok := v.live(v.patternOf(c)); !ok {
 			ghost = c
 			break
 		}
 	}
-	if ghost == nil && v.groups[v.patternOf(nil)] != nil {
+	if _, ok := v.live(v.patternOf(nil)); ghost == nil && ok {
 		t.Skip("every pattern over K is populated in this corpus")
 	}
 	before := v.Size()
@@ -248,8 +248,7 @@ func TestRemoveUnderflowErrors(t *testing.T) {
 	k := []string{"m0", "m1"}
 	words := []string{"w0"}
 	fresh := func() *View {
-		v := newView(k)
-		v.tracked["w0"] = true
+		v := newView(k, words)
 		v.Apply(DocUpdate{Predicates: []string{"m0"}, Len: 10, TF: map[string]int64{"w0": 2}})
 		v.Apply(DocUpdate{Predicates: []string{"m0"}, Len: 4})
 		return v
@@ -293,8 +292,7 @@ func TestRemoveUnderflowErrors(t *testing.T) {
 	}
 	// Last-document residue: removing the final document must cancel the
 	// group exactly.
-	v := newView(k)
-	v.tracked["w0"] = true
+	v := newView(k, words)
 	v.Apply(DocUpdate{Predicates: []string{"m1"}, Len: 7, TF: map[string]int64{"w0": 3}})
 	if err := v.Remove(DocUpdate{Predicates: []string{"m1"}, Len: 5, TF: map[string]int64{"w0": 3}}); err == nil {
 		t.Fatal("last-document removal with residual len succeeded")

@@ -48,22 +48,13 @@ func (c *Catalog) Fingerprint() string {
 	perView := make([]uint64, len(c.views))
 	for i, v := range c.views {
 		h := fnv.New64a()
-		fmt.Fprintf(h, "k=%s\x00tracked=%s\x00", strings.Join(v.k, ","), strings.Join(v.TrackedWords(), ","))
-		keys := make([]string, 0, len(v.groups))
-		for k := range v.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			g := v.groups[k]
-			fmt.Fprintf(h, "g=%x c=%d l=%d", k, g.Count, g.Len)
-			words := make([]string, 0, len(g.DF))
-			for w := range g.DF {
-				words = append(words, w)
-			}
-			sort.Strings(words)
-			for _, w := range words {
-				fmt.Fprintf(h, " %s=%d/%d", w, g.DF[w], g.TC[w])
+		fmt.Fprintf(h, "k=%s\x00tracked=%s\x00", strings.Join(v.k, ","), strings.Join(v.tracked, ","))
+		r := v.rows()
+		for _, key := range v.liveKeys() {
+			g := v.group[key]
+			fmt.Fprintf(h, "g=%x c=%d l=%d", key, v.counts[g], v.lens[g])
+			for j := r.start[g]; j < r.start[g+1]; j++ {
+				fmt.Fprintf(h, " %s=%d/%d", v.tracked[r.word[j]], r.df[j], r.tc[j])
 			}
 			h.Write([]byte{0})
 		}
@@ -120,16 +111,11 @@ func (c *Catalog) Verify(ix *index.Index, opts VerifyOptions) ([]Drift, error) {
 // compareViews diffs the stored view against the recomputed one over a
 // deterministic sample of group keys.
 func compareViews(vi int, got, want *View, opts VerifyOptions) []Drift {
-	keys := make(map[string]bool, len(got.groups)+len(want.groups))
-	for k := range got.groups {
-		keys[k] = true
-	}
-	for k := range want.groups {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
+	sorted := got.liveKeys()
+	for _, k := range want.liveKeys() {
+		if _, ok := got.live(k); !ok {
+			sorted = append(sorted, k)
+		}
 	}
 	sort.Strings(sorted)
 	if n := opts.SampleGroups; n > 0 && len(sorted) > n {
@@ -141,36 +127,49 @@ func compareViews(vi int, got, want *View, opts VerifyOptions) []Drift {
 		sorted = sample
 	}
 
+	gr, wr := got.rows(), want.rows()
 	var out []Drift
 	for _, key := range sorted {
-		g, w := got.groups[key], want.groups[key]
+		g, gok := got.live(key)
+		w, wok := want.live(key)
 		switch {
-		case g == nil:
-			out = append(out, Drift{View: vi, Key: key, Field: "missing", Got: 0, Want: w.Count})
+		case !gok:
+			out = append(out, Drift{View: vi, Key: key, Field: "missing", Got: 0, Want: want.counts[w]})
 			continue
-		case w == nil:
-			out = append(out, Drift{View: vi, Key: key, Field: "phantom", Got: g.Count, Want: 0})
+		case !wok:
+			out = append(out, Drift{View: vi, Key: key, Field: "phantom", Got: got.counts[g], Want: 0})
 			continue
 		}
-		if g.Count != w.Count {
-			out = append(out, Drift{View: vi, Key: key, Field: "count", Got: g.Count, Want: w.Count})
+		if got.counts[g] != want.counts[w] {
+			out = append(out, Drift{View: vi, Key: key, Field: "count", Got: got.counts[g], Want: want.counts[w]})
 		}
-		if g.Len != w.Len {
-			out = append(out, Drift{View: vi, Key: key, Field: "len", Got: g.Len, Want: w.Len})
+		if got.lens[g] != want.lens[w] {
+			out = append(out, Drift{View: vi, Key: key, Field: "len", Got: got.lens[g], Want: want.lens[w]})
 		}
-		words := make(map[string]bool, len(g.DF)+len(w.DF))
-		for x := range g.DF {
-			words[x] = true
-		}
-		for x := range w.DF {
-			words[x] = true
-		}
-		for x := range words {
-			if g.DF[x] != w.DF[x] {
-				out = append(out, Drift{View: vi, Key: key, Field: "df(" + x + ")", Got: g.DF[x], Want: w.DF[x]})
+		// Both rows are in ascending word order: merge them by word, a
+		// word absent from one side reading as zero there.
+		i, iEnd := gr.start[g], gr.start[g+1]
+		j, jEnd := wr.start[w], wr.start[w+1]
+		for i < iEnd || j < jEnd {
+			var word string
+			var gdf, gtc, wdf, wtc int64
+			switch {
+			case j == jEnd || (i < iEnd && got.tracked[gr.word[i]] < want.tracked[wr.word[j]]):
+				word, gdf, gtc = got.tracked[gr.word[i]], gr.df[i], gr.tc[i]
+				i++
+			case i == iEnd || want.tracked[wr.word[j]] < got.tracked[gr.word[i]]:
+				word, wdf, wtc = want.tracked[wr.word[j]], wr.df[j], wr.tc[j]
+				j++
+			default:
+				word, gdf, gtc, wdf, wtc = got.tracked[gr.word[i]], gr.df[i], gr.tc[i], wr.df[j], wr.tc[j]
+				i++
+				j++
 			}
-			if g.TC[x] != w.TC[x] {
-				out = append(out, Drift{View: vi, Key: key, Field: "tc(" + x + ")", Got: g.TC[x], Want: w.TC[x]})
+			if gdf != wdf {
+				out = append(out, Drift{View: vi, Key: key, Field: "df(" + word + ")", Got: gdf, Want: wdf})
+			}
+			if gtc != wtc {
+				out = append(out, Drift{View: vi, Key: key, Field: "tc(" + word + ")", Got: gtc, Want: wtc})
 			}
 		}
 	}

@@ -44,10 +44,9 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	cat := NewCatalog([]*View{v}, 10, 1000)
 
 	// Poison one group the way a mismatched un-logged update would.
-	for _, g := range v.groups {
-		g.Count += 3
-		g.TC["w0"] -= 1
-		break
+	v.counts[0] += 3
+	if i, ok := v.cols[v.col["w0"]].find(0); ok {
+		v.cols[v.col["w0"]].tc[i]--
 	}
 	drift, err := cat.Verify(ix, VerifyOptions{})
 	if err != nil {

@@ -14,38 +14,53 @@ package views
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"csrank/internal/postings"
 	"csrank/internal/widetable"
 )
 
-// Group is the aggregate of one GROUP BY partition: the documents sharing
-// one membership bit pattern over K.
-type Group struct {
-	// Count is COUNT(*) over the partition.
-	Count int64
-	// Len is SUM(len(d)) over the partition.
-	Len int64
-	// DF maps tracked word w to the number of partition documents
-	// containing w. Sparse: absent means 0.
-	DF map[string]int64
-	// TC maps tracked word w to SUM(tf(d, w)) over the partition.
-	TC map[string]int64
-}
-
-// View is a materialized view V_K.
+// View is a materialized view V_K. Its groups and cells live in flat,
+// pointer-free arrays, which the garbage collector never scans however
+// many df/tc cells a catalog holds:
+//
+//   - group g's membership bit pattern over K is
+//     pats[g*words:(g+1)*words], bit i set iff the group's documents
+//     carry predicate k[i];
+//   - counts[g] and lens[g] are its COUNT(*) and SUM(len(d));
+//   - cols[c] holds tracked word tracked[c]'s cells: one (group, df, tc)
+//     per group containing the word, sorted by group.
+//
+// A group whose last document is removed keeps its slot with counts[g]
+// = 0 and no cells. It is not counted by Size, scanned by Answer, or
+// written by Fingerprint and the encoders, and a later Apply with its
+// pattern reuses the slot.
 type View struct {
 	// k holds the keyword columns K, sorted.
 	k []string
 	// pos maps a keyword to its bit position within the pattern.
 	pos map[string]int
-	// groups maps the packed bit pattern (little-endian bytes, bit i =
-	// membership in k[i]) to the partition aggregate. Only non-empty
-	// partitions are present.
-	groups map[string]*Group
-	// tracked is the set of words with df/tc columns.
-	tracked map[string]bool
+	// words is the pattern width in uint64 words: ⌈|K|/64⌉.
+	words int
+	pats  []uint64
+	// counts and lens are the per-group aggregates.
+	counts, lens []int64
+	// size is the number of non-empty groups (counts[g] > 0).
+	size int
+	// group maps a group's packed pattern (see key) to its slot.
+	group map[string]int32
+	// tracked lists the words with df/tc columns, sorted; col maps each
+	// to its index in tracked and cols.
+	tracked []string
+	col     map[string]int
+	cols    []column
+}
+
+// column is one tracked word's df/tc cells, sorted by group.
+type column struct {
+	group  []int32
+	df, tc []int64
 }
 
 // answerCheckStride is how many groups an Answer scan processes between
@@ -70,7 +85,13 @@ type ContextStats struct {
 // absent from the table's tf columns are ignored). Unknown keyword
 // columns are an error.
 func Materialize(t *widetable.Table, k []string, trackedWords []string) (*View, error) {
-	v := newView(k)
+	var words []string
+	for _, w := range trackedWords {
+		if t.Tracked(w) {
+			words = append(words, w)
+		}
+	}
+	v := newView(k, words)
 	cols := make([]widetable.ColID, len(v.k))
 	for i, name := range v.k {
 		id, ok := t.ColumnID(name)
@@ -79,59 +100,82 @@ func Materialize(t *widetable.Table, k []string, trackedWords []string) (*View, 
 		}
 		cols[i] = id
 	}
-	words := make([]string, 0, len(trackedWords))
-	for _, w := range trackedWords {
-		if t.Tracked(w) {
-			words = append(words, w)
-			v.tracked[w] = true
-		}
-	}
 
 	// Pass 1: group every document by its membership pattern, keeping the
 	// per-document group so the sparse tf columns can be folded in
 	// without probing every (document, word) pair.
-	docGroup := make([]*Group, t.NumDocs())
+	docGroup := make([]int32, t.NumDocs())
 	buf := make([]byte, (len(v.k)+7)/8)
-	for d := 0; d < t.NumDocs(); d++ {
+	for d := range docGroup {
 		// cols is ascending (ColIDs are assigned in sorted-name order and
 		// v.k is sorted), so one merge walk replaces per-column probes.
 		t.FillPattern(d, cols, buf)
-		key := string(buf)
-		g := v.groups[key]
-		if g == nil {
-			g = &Group{DF: make(map[string]int64), TC: make(map[string]int64)}
-			v.groups[key] = g
+		g, ok := v.group[string(buf)]
+		if !ok {
+			g = v.addGroup(string(buf))
 		}
-		g.Count++
-		g.Len += t.Len(d)
+		v.counts[g]++
+		v.lens[g] += t.Len(d)
 		docGroup[d] = g
 	}
+	v.size = len(v.counts)
 	// Pass 2: per tracked word, walk its sparse column — cost is the
-	// word's document frequency, not the collection size.
-	for _, w := range words {
+	// word's document frequency, not the collection size — summing into
+	// per-group scratch, then emit the touched groups in order as the
+	// word's cells.
+	df := make([]int64, len(v.counts))
+	tc := make([]int64, len(v.counts))
+	var touched []int32
+	for c, w := range v.tracked {
 		for docID, tf := range t.TFColumn(w) {
 			if tf > 0 {
 				g := docGroup[docID]
-				g.DF[w]++
-				g.TC[w] += tf
+				if df[g] == 0 {
+					touched = append(touched, g)
+				}
+				df[g]++
+				tc[g] += tf
 			}
 		}
+		slices.Sort(touched)
+		col := column{
+			group: slices.Clone(touched),
+			df:    make([]int64, len(touched)),
+			tc:    make([]int64, len(touched)),
+		}
+		for i, g := range touched {
+			col.df[i], col.tc[i] = df[g], tc[g]
+			df[g], tc[g] = 0, 0
+		}
+		v.cols[c] = col
+		touched = touched[:0]
 	}
 	return v, nil
 }
 
-func newView(k []string) *View {
+// newView returns an empty view over keyword columns k tracking words;
+// both are sorted and deduplicated.
+func newView(k, tracked []string) *View {
 	ks := append([]string(nil), k...)
 	sort.Strings(ks)
 	ks = dedupSorted(ks)
+	ts := append([]string(nil), tracked...)
+	sort.Strings(ts)
+	ts = dedupSorted(ts)
 	v := &View{
 		k:       ks,
 		pos:     make(map[string]int, len(ks)),
-		groups:  make(map[string]*Group),
-		tracked: make(map[string]bool),
+		words:   (len(ks) + 63) / 64,
+		group:   make(map[string]int32),
+		tracked: ts,
+		col:     make(map[string]int, len(ts)),
+		cols:    make([]column, len(ts)),
 	}
 	for i, name := range ks {
 		v.pos[name] = i
+	}
+	for i, w := range ts {
+		v.col[w] = i
 	}
 	return v
 }
@@ -146,25 +190,56 @@ func dedupSorted(s []string) []string {
 	return out
 }
 
+// key packs group g's pattern into ⌈|K|/8⌉ bytes, membership in k[i]
+// being bit i%8 of byte i/8: the group identity used by the group index,
+// Fingerprint, Drift and the legacy format.
+func (v *View) key(g int32) string {
+	b := make([]byte, (len(v.k)+7)/8)
+	row := v.pats[int(g)*v.words:]
+	for i := range b {
+		b[i] = byte(row[i/8] >> (8 * (i % 8)))
+	}
+	return string(b)
+}
+
+// addGroup appends an empty group with the packed pattern key and
+// returns its slot.
+func (v *View) addGroup(key string) int32 {
+	g := int32(len(v.counts))
+	for w := 0; w < v.words; w++ {
+		var x uint64
+		for i := 0; i < 8 && w*8+i < len(key); i++ {
+			x |= uint64(key[w*8+i]) << (8 * i)
+		}
+		v.pats = append(v.pats, x)
+	}
+	v.counts = append(v.counts, 0)
+	v.lens = append(v.lens, 0)
+	v.group[key] = g
+	return g
+}
+
+// live returns the slot of the non-empty group with pattern key.
+func (v *View) live(key string) (int32, bool) {
+	g, ok := v.group[key]
+	return g, ok && v.counts[g] > 0
+}
+
 // K returns the view's keyword columns, sorted. Callers must not modify
 // the returned slice.
 func (v *View) K() []string { return v.k }
 
 // Size returns ViewSize(V_K): the number of non-empty groups.
-func (v *View) Size() int { return len(v.groups) }
+func (v *View) Size() int { return v.size }
 
 // TracksWord reports whether the view stores df/tc columns for w.
-func (v *View) TracksWord(w string) bool { return v.tracked[w] }
+func (v *View) TracksWord(w string) bool {
+	_, ok := v.col[w]
+	return ok
+}
 
 // TrackedWords returns the words with df/tc columns, sorted.
-func (v *View) TrackedWords() []string {
-	out := make([]string, 0, len(v.tracked))
-	for w := range v.tracked {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
+func (v *View) TrackedWords() []string { return slices.Clone(v.tracked) }
 
 // Usable implements Theorem 4.1's second condition: the view can answer
 // statistics for context P iff P ⊆ K. (The first condition — the view
@@ -194,25 +269,28 @@ func (v *View) Answer(p []string, words []string, st *postings.Stats) (ContextSt
 // stops promptly under a deadline. On cancellation the partial aggregates
 // are discarded and ctx's error is returned (a partially summed Count
 // would be silently wrong, unlike a prefix of an intersection).
+//
+// The answer takes two steps: one pass over the group patterns marks
+// the groups covering p in a bitmap and sums their Count and Len, then
+// each requested word's column adds the cells of marked groups. Both
+// are bounded by ViewSize, as Theorem 4.2 requires.
 func (v *View) AnswerCtx(ctx context.Context, p []string, words []string, st *postings.Stats) (ContextStats, error) {
-	need := make([]int, len(p))
-	for i, m := range p {
+	need := make([]uint64, v.words)
+	for _, m := range p {
 		pos, ok := v.pos[m]
 		if !ok {
 			return ContextStats{}, fmt.Errorf("views: view %v not usable for context %v", v.k, p)
 		}
-		need[i] = pos
+		need[pos/64] |= 1 << (pos % 64)
 	}
 	res := ContextStats{DF: make(map[string]int64), TC: make(map[string]int64)}
-	var reqTracked []string
-	for _, w := range words {
-		if v.tracked[w] {
-			reqTracked = append(reqTracked, w)
-		}
-	}
+	covered := make([]uint64, (len(v.counts)+63)/64)
 	scanned := int64(0)
 	done := ctx.Done()
-	for key, g := range v.groups {
+	for g, n := range v.counts {
+		if n == 0 {
+			continue
+		}
 		scanned++
 		if done != nil && scanned%answerCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -222,40 +300,122 @@ func (v *View) AnswerCtx(ctx context.Context, p []string, words []string, st *po
 				return ContextStats{}, err
 			}
 		}
-		if !patternCovers(key, need) {
+		if !covers(v.pats[g*v.words:(g+1)*v.words], need) {
 			continue
 		}
-		res.Count += g.Count
-		res.Len += g.Len
-		for _, w := range reqTracked {
-			if df := g.DF[w]; df > 0 {
-				res.DF[w] += df
-				res.TC[w] += g.TC[w]
-			}
-		}
+		covered[g/64] |= 1 << (g % 64)
+		res.Count += n
+		res.Len += v.lens[g]
 	}
 	if st != nil {
 		st.ViewGroupsScanned += scanned
 	}
+	for i, w := range words {
+		c, ok := v.col[w]
+		if !ok || slices.Contains(words[:i], w) {
+			continue
+		}
+		col := &v.cols[c]
+		var df, tc int64
+		for j, g := range col.group {
+			if covered[g/64]&(1<<(g%64)) != 0 {
+				df += col.df[j]
+				tc += col.tc[j]
+			}
+		}
+		if df > 0 {
+			res.DF[w] = df
+			res.TC[w] = tc
+		}
+	}
 	return res, nil
 }
 
-func patternCovers(key string, need []int) bool {
-	for _, pos := range need {
-		if key[pos/8]&(1<<(pos%8)) == 0 {
+// covers reports whether pattern pat has every bit of need set.
+func covers(pat, need []uint64) bool {
+	for i, m := range need {
+		if pat[i]&m != m {
 			return false
 		}
 	}
 	return true
 }
 
+// find returns the position of g's cell in the column, or where it
+// would be inserted.
+func (c *column) find(g int32) (int, bool) { return slices.BinarySearch(c.group, g) }
+
+// add adds df and tc to g's cell, inserting the cell in group order if
+// the column has none for g.
+func (c *column) add(g int32, df, tc int64) {
+	i, ok := c.find(g)
+	if !ok {
+		c.group = slices.Insert(c.group, i, g)
+		c.df = slices.Insert(c.df, i, 0)
+		c.tc = slices.Insert(c.tc, i, 0)
+	}
+	c.df[i] += df
+	c.tc[i] += tc
+}
+
+// drop deletes the cell at position i.
+func (c *column) drop(i int) {
+	c.group = slices.Delete(c.group, i, i+1)
+	c.df = slices.Delete(c.df, i, i+1)
+	c.tc = slices.Delete(c.tc, i, i+1)
+}
+
+// rows is the view's cells transposed into per-group rows: group g's
+// cells are at [start[g], start[g+1]) of word, df and tc, in ascending
+// word order (word indexes tracked).
+type rows struct {
+	start  []int
+	word   []int32
+	df, tc []int64
+}
+
+func (v *View) rows() rows {
+	r := rows{start: make([]int, len(v.counts)+1)}
+	for _, col := range v.cols {
+		for _, g := range col.group {
+			r.start[g+1]++
+		}
+	}
+	for g := range v.counts {
+		r.start[g+1] += r.start[g]
+	}
+	n := r.start[len(v.counts)]
+	r.word, r.df, r.tc = make([]int32, n), make([]int64, n), make([]int64, n)
+	next := slices.Clone(r.start)
+	for c, col := range v.cols {
+		for j, g := range col.group {
+			i := next[g]
+			next[g]++
+			r.word[i], r.df[i], r.tc[i] = int32(c), col.df[j], col.tc[j]
+		}
+	}
+	return r
+}
+
+// liveKeys returns the packed patterns of the non-empty groups, sorted.
+func (v *View) liveKeys() []string {
+	keys := make([]string, 0, v.size)
+	for key, g := range v.group {
+		if v.counts[g] > 0 {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Bytes estimates the view's storage footprint: per group, the packed
 // pattern plus two 8-byte aggregates plus 12 bytes per sparse df/tc
 // entry (a word reference and a packed count pair).
 func (v *View) Bytes() int64 {
-	var b int64
-	for key, g := range v.groups {
-		b += int64(len(key)) + 16 + int64(len(g.DF))*12
+	b := int64(v.size) * int64((len(v.k)+7)/8+16)
+	for _, col := range v.cols {
+		b += int64(len(col.group)) * 12
 	}
 	return b
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"csrank/internal/analysis"
@@ -134,6 +135,31 @@ func TestAnswerMatchesOracle(t *testing.T) {
 					trial, w, got.DF[w], got.TC[w], wantDF, wantTC)
 			}
 		}
+	}
+}
+
+// TestAnswerRepeatedWordCountsOnce checks that a tracked word listed
+// twice in the request is summed once per covering group.
+func TestAnswerRepeatedWordCountsOnce(t *testing.T) {
+	tbl, meshTerms, words := randomTable(t, 13, 200, 6, 2)
+	v, err := Materialize(tbl, meshTerms[:3], words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := []string{meshTerms[0]}
+	once, err := v.Answer(p, []string{words[0]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if once.DF[words[0]] == 0 {
+		t.Fatalf("%s does not occur in context %v; the probe checks nothing", words[0], p)
+	}
+	twice, err := v.Answer(p, []string{words[0], words[0]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(once, twice) {
+		t.Fatalf("Answer(p, [w, w]) = %+v, Answer(p, [w]) = %+v", twice, once)
 	}
 }
 

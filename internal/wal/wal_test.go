@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -15,6 +16,7 @@ import (
 	"csrank/internal/analysis"
 	"csrank/internal/fsx"
 	"csrank/internal/index"
+	"csrank/internal/snapshot"
 	"csrank/internal/views"
 	"csrank/internal/widetable"
 )
@@ -426,6 +428,81 @@ func TestManagerRecoverEqualsDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = drift // drift against a rebuilt index is checked in crash tests
+}
+
+// TestOpenRecoversFormatV1Snapshot recovers a directory whose snapshot
+// was written in catalog format 1 (per-group records, the format before
+// the flat layout): the base state loads, the log replays over it, and
+// the next snapshot roll writes the current format.
+func TestOpenRecoversFormatV1Snapshot(t *testing.T) {
+	ix := buildTestIndex(t, 53, 200)
+	mirror := buildTestCatalog(t, ix)
+	batches := randomBatches(rand.New(rand.NewSource(59)), 8)
+
+	dir := t.TempDir()
+	m, err := Create(dir, buildTestCatalog(t, ix), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if err := m.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := m.Catalog().Fingerprint()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Replace generation 1's snapshot by the same base state in format 1.
+	var v1 bytes.Buffer
+	sw, err := snapshot.NewWriter(&v1, snapshot.KindViews, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := buildTestCatalog(t, ix).Encode(sw); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapName(1)), v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, rec, err := Open(dir, Options{SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if rec.Generation != 1 || rec.BatchesReplayed != len(batches) || len(rec.CorruptSnapshots) != 0 {
+		t.Fatalf("unexpected recovery: %+v", rec)
+	}
+	if got := m2.Catalog().Fingerprint(); got != live {
+		t.Fatalf("recovered fingerprint %s, want %s", got, live)
+	}
+	extra := randomBatches(rand.New(rand.NewSource(61)), 1)[0]
+	if err := m2.Apply(extra); err != nil {
+		t.Fatal(err)
+	}
+	applyDirect(t, mirror, append(batches, extra))
+	if got := m2.Catalog().Fingerprint(); got != mirror.Fingerprint() {
+		t.Fatalf("catalog after recovery and one more batch diverged from direct maintenance")
+	}
+	if m2.Generation() != 2 {
+		t.Fatalf("generation %d after a batch with SnapshotEvery=1, want 2", m2.Generation())
+	}
+	f, err := os.Open(filepath.Join(dir, snapName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sr, err := snapshot.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := sr.Header().PayloadVersion; v != views.CatalogFormatVersion {
+		t.Fatalf("rolled snapshot holds catalog format %d, want %d", v, views.CatalogFormatVersion)
+	}
 }
 
 // ixAfter is a placeholder hook for drift checks; the recovered catalog
