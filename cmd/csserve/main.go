@@ -37,7 +37,7 @@ func main() {
 		mode         = flag.String("mode", "auto", "auto | single | sharded — how to interpret -data")
 		scorer       = flag.String("scorer", "pivoted-tfidf", "pivoted-tfidf | bm25 | dirichlet-lm | cosine-tfidf | jelinek-mercer-lm")
 		parallel     = flag.Int("parallel", 0, "intra-query parallelism per shard (0 = GOMAXPROCS)")
-		pruning      = flag.Bool("pruning", false, "enable block-max dynamic pruning (rank-safe)")
+		pruning      = flag.Bool("pruning", true, "serve top-k through block-max dynamic pruning (rank-safe: identical hits); -pruning=false scores every conjunction member")
 		cache        = flag.Int("cache", 256, "context-statistics cache entries per shard (0 = off)")
 		resultCache  = flag.Int64("result-cache", 64<<20, "serving-layer result cache budget in bytes; hits skip the shard fan-out AND the admission queue, concurrent identical queries coalesce onto one execution (0 = off)")
 		timeout      = flag.Duration("timeout", 0, "per-request deadline covering queue wait + execution; on expiry partial results are returned flagged degraded (0 = unbounded)")
@@ -88,15 +88,15 @@ type serveConfig struct {
 
 func run(cfg serveConfig) error {
 	opts := csrank.BuildOptions{
-		Scorer:        csrank.Scorer(cfg.scorer),
-		Parallelism:   cfg.parallel,
-		Pruning:       cfg.pruning,
-		CacheContexts: cfg.cache,
-		Timeout:       cfg.timeout,
-		StatsBudget:   cfg.statsBudget,
-		MinShards:     cfg.minShards,
-		ShardTimeout:  cfg.shardTimeout,
-		Cache:         csrank.CacheOptions{ResultBytes: cfg.resultCache},
+		Scorer:         csrank.Scorer(cfg.scorer),
+		Parallelism:    cfg.parallel,
+		DisablePruning: !cfg.pruning,
+		CacheContexts:  cfg.cache,
+		Timeout:        cfg.timeout,
+		StatsBudget:    cfg.statsBudget,
+		MinShards:      cfg.minShards,
+		ShardTimeout:   cfg.shardTimeout,
+		Cache:          csrank.CacheOptions{ResultBytes: cfg.resultCache},
 	}
 	if cfg.chaos && cfg.ingest {
 		// The live (mutable-segment) search path fans out without the
@@ -112,15 +112,17 @@ func run(cfg serveConfig) error {
 	fmt.Fprintf(os.Stderr, "csserve: %d documents over %d shard(s); listening on %s (inflight≤%d queue≤%d ingest=%v chaos=%v)\n",
 		eng.NumDocs(), eng.NumShards(), cfg.addr, cfg.maxInflight, cfg.maxQueue, cfg.ingest, cfg.chaos)
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.routes()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting, drain
 	// in-flight requests up to the drain timeout, then flush the final
 	// counters so the run's tail is in the logs even without a scraper.
+	// The handler is installed before the listener starts: a client that
+	// saw /healthz answer may signal at once, and an uncaught SIGTERM
+	// would kill the process instead of draining it.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.routes()}
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.ListenAndServe() }()
 	select {
 	case err := <-errCh:
 		return err

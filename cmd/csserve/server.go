@@ -18,7 +18,11 @@ import (
 
 // searchResponse is the /search wire format. Hits and Stats are the
 // library's own types — their JSON tags are the wire contract, so the
-// server needs no shadow structs.
+// server needs no shadow structs. Under the default -pruning,
+// stats.result_size counts only the conjunction members the pruned loop
+// visited (members in containers the score bounds dismissed are never
+// enumerated); with -pruning=false it is the full unranked result
+// cardinality.
 type searchResponse struct {
 	Query  string         `json:"query"`
 	K      int            `json:"k"`

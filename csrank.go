@@ -132,10 +132,13 @@ type BuildOptions struct {
 	// queries; past it the engine ranks with approximate statistics and
 	// flags the result Degraded. Zero means unbounded.
 	StatsBudget time.Duration
-	// Pruning enables block-max dynamic pruning: top-k scoring skips
-	// documents and containers whose score bound proves they cannot
-	// rank. Results stay bit-identical to exhaustive scoring.
-	Pruning bool
+	// DisablePruning turns off block-max dynamic pruning. By default
+	// top-k scoring skips documents and containers whose score bound
+	// proves they cannot rank; results are bit-identical either way, so
+	// disabling it only restores exhaustive scoring (every conjunction
+	// member scored, full result_size), e.g. as a reference to compare
+	// the pruned path against.
+	DisablePruning bool
 	// MinShards (sharded engines only) is the fewest healthy shards for
 	// which a partial answer is still served; when fewer survive a
 	// query's fan-out, the query fails instead (fail-closed). ≤ 0 means
@@ -174,7 +177,7 @@ type CacheOptions struct {
 // braces on top of the cache already being private to one engine
 // instance whose configuration is immutable.
 func (o BuildOptions) cacheFingerprint() string {
-	return fmt.Sprintf("%s|views=%v|prune=%v|cost=%v", o.Scorer, o.DisableViews, o.Pruning, o.CostBasedPlanning)
+	return fmt.Sprintf("%s|views=%v|prune=%v|cost=%v", o.Scorer, o.DisableViews, !o.DisablePruning, o.CostBasedPlanning)
 }
 
 // coreOptions maps the runtime subset of BuildOptions onto the engine
@@ -187,7 +190,7 @@ func (o BuildOptions) coreOptions(scorer ranking.Scorer) core.Options {
 		Parallelism:   o.Parallelism,
 		Deadline:      o.Timeout,
 		StatsBudget:   o.StatsBudget,
-		Pruning:       o.Pruning,
+		Pruning:       !o.DisablePruning,
 	}
 }
 
@@ -294,7 +297,12 @@ type Stats struct {
 	// UsedView reports whether a materialized view answered the context
 	// statistics (any shard, for sharded engines).
 	UsedView bool `json:"used_view"`
-	// ResultSize is the unranked result cardinality.
+	// ResultSize is the unranked result cardinality when scoring was
+	// exhaustive. When block-max pruning served the query (the default;
+	// see BuildOptions.DisablePruning) it counts only the conjunction
+	// members the pruned loop visited: members inside containers the
+	// bounds dismissed are provably outside the top k and never
+	// enumerated, so the value is a lower bound that varies with k.
 	ResultSize int `json:"result_size"`
 	// ContextSize is |D_P| for contextual queries.
 	ContextSize int64 `json:"context_size"`
@@ -308,8 +316,8 @@ type Stats struct {
 	// is false).
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	// PrunedDocs counts candidate documents block-max pruning dismissed
-	// without scoring (0 unless BuildOptions/SearchOptions enable
-	// Pruning).
+	// without scoring (0 with BuildOptions.DisablePruning, or when the
+	// query was not eligible: k ≤ 0 or a list without bound metadata).
 	PrunedDocs int64 `json:"pruned_docs"`
 	// PrunedContainers counts whole docID containers pruning dismissed
 	// wholesale.

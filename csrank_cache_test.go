@@ -72,7 +72,7 @@ func TestResultCacheBitIdentical(t *testing.T) {
 			// One uncached reference per configuration: a single engine over
 			// the same documents (the sharded layer's existing bit-identity
 			// contract makes it the ground truth for every shard count).
-			refOpts := BuildOptions{Scorer: sc, Pruning: pruning}
+			refOpts := BuildOptions{Scorer: sc, DisablePruning: !pruning}
 			rb := NewBuilder()
 			cacheDocs(rb)
 			ref, err := rb.Build(refOpts)
@@ -199,7 +199,7 @@ func TestResultCacheLiveBitIdentical(t *testing.T) {
 	for _, sc := range cacheScorers {
 		for _, pruning := range []bool{false, true} {
 			label := fmt.Sprintf("scorer=%s pruning=%v", sc, pruning)
-			opts := BuildOptions{Scorer: sc, Pruning: pruning, Cache: CacheOptions{ResultBytes: 1 << 20}}
+			opts := BuildOptions{Scorer: sc, DisablePruning: !pruning, Cache: CacheOptions{ResultBytes: 1 << 20}}
 			b := NewBuilder()
 			cacheDocs(b)
 			se, err := b.BuildSharded(2, opts)

@@ -55,7 +55,7 @@ func rebuildDemoDocs(b *Builder) {
 // pruning.
 func TestBuildShardedMatchesBuild(t *testing.T) {
 	for _, pruning := range []bool{false, true} {
-		opts := BuildOptions{Pruning: pruning}
+		opts := BuildOptions{DisablePruning: !pruning}
 		single := buildDemo(t, opts)
 		for _, shards := range []int{1, 2, 4} {
 			b := NewBuilder()

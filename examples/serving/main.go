@@ -39,9 +39,10 @@ func main() {
 		}
 	}
 
-	// Pruning on: the response's aggregated pruning counters show how
-	// much work the shards skipped, summed across the fan-out.
-	opts := csrank.BuildOptions{Pruning: true}
+	// Default options serve top-k through block-max pruning: the
+	// response's aggregated pruning counters show how much work the
+	// shards skipped, summed across the fan-out.
+	var opts csrank.BuildOptions
 	cluster, err := b.BuildSharded(4, opts)
 	if err != nil {
 		log.Fatal(err)

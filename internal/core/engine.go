@@ -226,6 +226,10 @@ type Engine struct {
 
 	globalN   int64
 	globalLen int64
+	// docLens is the content field's length column (len(d) by DocID),
+	// resolved once so scoring reads a slice, not a per-document map
+	// lookup.
+	docLens []int32
 
 	costBased   bool
 	cache       *statsCache // nil when disabled
@@ -266,6 +270,7 @@ func New(ix *index.Index, catalog *views.Catalog, opts Options) *Engine {
 		predAn:       ix.AnalyzerFor(schema.PredicateField),
 		globalN:      int64(ix.NumDocs()),
 		globalLen:    ix.TotalFieldLen(schema.ContentField),
+		docLens:      ix.FieldLens(schema.ContentField),
 		costBased:    opts.CostBased,
 		cache:        newStatsCache(opts.CacheContexts),
 		workers:      resolveWorkers(opts.Parallelism),
@@ -275,6 +280,15 @@ func New(ix *index.Index, catalog *views.Catalog, opts Options) *Engine {
 	}
 	e.catalog.Store(catalog)
 	return e
+}
+
+// docLen returns len(d) in the content field (0 past the column, as
+// index.FieldLen).
+func (e *Engine) docLen(d uint32) int64 {
+	if int(d) < len(e.docLens) {
+		return int64(e.docLens[d])
+	}
+	return 0
 }
 
 // Index returns the engine's index.

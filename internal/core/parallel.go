@@ -164,27 +164,26 @@ func (e *Engine) keywordStatsWorker(ctx context.Context, next *atomic.Int64, fai
 
 // score ranks the unranked result under the given collection statistics
 // and returns the top k (all results if k ≤ 0), ordered by descending
-// score then ascending DocID. When the scorer supports the term-indexed
-// fast path the per-document loop performs zero map operations and zero
-// allocations; when the engine allows parallelism and the result is
-// large enough, contiguous partitions are scored concurrently. On
-// deadline expiry the merged heaps form a valid partial top-k (over the
-// documents scored before the cutoff), returned with the deadline error;
-// a cancellation or worker panic returns nil results with the error.
+// score then ascending DocID. The scorer is prepared once for the query
+// (ranking.Prepare) and the per-document loop feeds the kernel a reused
+// tf buffer and the length column — zero map operations and zero
+// allocations per document for every built-in scorer. When the engine
+// allows parallelism and the result is large enough, contiguous
+// partitions are scored concurrently. On deadline expiry the merged heaps
+// form a valid partial top-k (over the documents scored before the
+// cutoff), returned with the deadline error; a cancellation or worker
+// panic returns nil results with the error.
 func (e *Engine) score(ctx context.Context, a analyzed, res *postings.Intersection, cs ranking.CollectionStats, k int) ([]Result, error) {
-	qs := ranking.NewQueryStats(a.kwStream)
-	indexed, _ := e.scorer.(ranking.IndexedScorer)
-	if indexed != nil {
-		// a.kwTerms is the distinct keywords in first-occurrence order —
-		// the same order qs.DistinctTerms() iterates — so the slice loop
-		// sums in the map loop's exact floating-point order.
-		cs.IndexTerms(a.kwTerms)
-	}
+	// a.kwTerms is the distinct keywords in first-occurrence order — the
+	// order the kernel's term positions follow — so res.TFs[j] feeds term
+	// j and the kernel sums in Score's exact floating-point order.
+	kern := ranking.Prepare(e.scorer, ranking.NewQueryStats(a.kwStream), cs)
+	tfs := res.TFs[:len(a.kwTerms)]
 	n := res.Len()
 	chunks := scoreChunks(n, e.workers)
 	if chunks <= 1 {
 		top := newTopK(k)
-		err := e.scoreRange(ctx, qs, a.kwTerms, res, cs, indexed, 0, n, top)
+		err := e.scoreRange(ctx, kern, res.DocIDs, tfs, 0, n, top)
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			top.release()
 			return nil, err
@@ -202,13 +201,13 @@ func (e *Engine) score(ctx context.Context, a analyzed, res *postings.Intersecti
 		tops[c] = newTopK(k)
 		if c == chunks-1 {
 			// The calling goroutine scores the last chunk itself.
-			errs[c] = e.guardedScoreRange(ctx, qs, a.kwTerms, res, cs, indexed, lo, hi, tops[c])
+			errs[c] = e.guardedScoreRange(ctx, kern, res.DocIDs, tfs, lo, hi, tops[c])
 			continue
 		}
 		wg.Add(1)
 		go func(c, lo, hi int) {
 			defer wg.Done()
-			errs[c] = e.guardedScoreRange(ctx, qs, a.kwTerms, res, cs, indexed, lo, hi, tops[c])
+			errs[c] = e.guardedScoreRange(ctx, kern, res.DocIDs, tfs, lo, hi, tops[c])
 		}(c, lo, hi)
 	}
 	wg.Wait()
@@ -242,52 +241,31 @@ func (e *Engine) score(ctx context.Context, a analyzed, res *postings.Intersecti
 
 // guardedScoreRange is scoreRange behind a panic guard, for use as a
 // scoring worker body.
-func (e *Engine) guardedScoreRange(ctx context.Context, qs ranking.QueryStats, terms []string, res *postings.Intersection, cs ranking.CollectionStats, indexed ranking.IndexedScorer, lo, hi int, top *topK) (err error) {
+func (e *Engine) guardedScoreRange(ctx context.Context, kern ranking.Kernel, docIDs []uint32, tfs [][]uint32, lo, hi int, top *topK) (err error) {
 	defer recoverToError(&err, "scoring worker")
-	return e.scoreRange(ctx, qs, terms, res, cs, indexed, lo, hi, top)
+	return e.scoreRange(ctx, kern, docIDs, tfs, lo, hi, top)
 }
 
-// scoreRange scores documents [lo, hi) of res into top. One pooled TF
-// buffer (slice or map, depending on the scorer's capabilities) is
-// reused for the whole range. ctx is polled every scoreCheckMask+1
-// documents; on expiry the heap keeps what was scored so far and ctx's
-// error is returned.
-func (e *Engine) scoreRange(ctx context.Context, qs ranking.QueryStats, terms []string, res *postings.Intersection, cs ranking.CollectionStats, indexed ranking.IndexedScorer, lo, hi int, top *topK) error {
-	s := getScratch(len(terms))
+// scoreRange scores result positions [lo, hi) into top: docIDs[i] with
+// keyword j's term frequency tfs[j][i]. One pooled tf buffer is reused
+// for the whole range. ctx is polled every scoreCheckMask+1 documents;
+// on expiry the heap keeps what was scored so far and ctx's error is
+// returned.
+func (e *Engine) scoreRange(ctx context.Context, kern ranking.Kernel, docIDs []uint32, tfs [][]uint32, lo, hi int, top *topK) error {
+	s := getScratch(len(tfs))
 	defer putScratch(s)
-	if indexed != nil {
-		tf := s.tf
-		for i := lo; i < hi; i++ {
-			if i&scoreCheckMask == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			docID := res.DocIDs[i]
-			for j := range terms {
-				tf[j] = int64(res.TFs[j][i])
-			}
-			ds := ranking.DocStats{TFs: tf, Len: e.ix.FieldLen(docID, e.contentField)}
-			top.push(Result{DocID: docID, Score: indexed.ScoreIndexed(qs, ds, cs)})
-		}
-		return nil
-	}
-	if s.tfm == nil {
-		s.tfm = make(map[string]int64, len(terms))
-	}
-	tf := s.tfm
+	tf := s.tf
 	for i := lo; i < hi; i++ {
 		if i&scoreCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		docID := res.DocIDs[i]
-		for j, w := range terms {
-			tf[w] = int64(res.TFs[j][i])
+		docID := docIDs[i]
+		for j, col := range tfs {
+			tf[j] = int64(col[i])
 		}
-		ds := ranking.DocStats{TF: tf, Len: e.ix.FieldLen(docID, e.contentField)}
-		top.push(Result{DocID: docID, Score: e.scorer.Score(qs, ds, cs)})
+		top.push(Result{DocID: docID, Score: kern.Score(tf, e.docLen(docID))})
 	}
 	return nil
 }

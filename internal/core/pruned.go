@@ -48,7 +48,8 @@ import (
 // even under the DocID tie-break, which only arbitrates equal scores.
 // Documents that are scored produce exactly the exhaustive path's
 // floats: term frequencies come from the same lists in the same
-// canonical order, and ScoreIndexed runs with the same statistics.
+// canonical order, and the same kernel (ranking.Prepare over the same
+// statistics) scores them.
 //
 // The Score ≤ UpperBound contract holds in exact arithmetic, but the two
 // sides are computed by different floating-point expressions (different
@@ -143,24 +144,21 @@ func (s *sharedThreshold) raise(v float64) {
 // two orders of magnitude of headroom.
 const boundFPMargin = 1e-12
 
-// memoCap bounds the per-term tf → UpperBound memo table: term
+// memoCap bounds the per-term tf → TermBound memo table: term
 // frequencies at or below it hit the table, rarer larger ones compute
 // directly. Tables reset at container granularity (MinDocLen changes).
 const memoCap = 256
 
 // prunedEligible reports whether the pruned path can serve this query:
-// pruning on, a real top-k (k > 0), a scorer exposing both the bound
-// and the indexed fast path (all five built-ins), and bound metadata on
+// pruning on, a real top-k (k > 0), a scorer whose prepared kernel
+// supplies per-term bounds (all five built-ins), and bound metadata on
 // every keyword list. Any nil or empty list means an empty conjunction,
 // which the exhaustive path already handles in O(1).
 func (e *Engine) prunedEligible(kw, preds []*postings.List, k int) bool {
 	if !e.pruning || k <= 0 {
 		return false
 	}
-	if _, ok := e.scorer.(ranking.BoundedScorer); !ok {
-		return false
-	}
-	if _, ok := e.scorer.(ranking.IndexedScorer); !ok {
+	if _, ok := e.scorer.(ranking.PreparedScorer); !ok {
 		return false
 	}
 	for _, l := range kw {
@@ -179,21 +177,15 @@ func (e *Engine) prunedEligible(kw, preds []*postings.List, k int) bool {
 // prunedQuery is the per-query immutable state shared by all pruned
 // scoring workers.
 type prunedQuery struct {
-	qs      ranking.QueryStats
-	cs      ranking.CollectionStats
-	bounded ranking.BoundedScorer
-	indexed ranking.IndexedScorer
+	// kern scores documents and supplies each keyword's summand ceiling
+	// (TermBound); the full bound is the sum of the per-term ceilings
+	// (every built-in formula is such a sum).
+	kern ranking.Kernel
 	// all holds the keyword lists (first nk entries, aligned with
 	// a.kwTerms so cursor TFs fill the canonical tf slice) followed by
 	// the predicate lists.
 	all []*postings.List
 	nk  int
-	// termQ/termC are single-term projections of qs/cs: UpperBound over
-	// termQ[i] yields keyword i's summand ceiling, and the full bound is
-	// the sum of the per-term ceilings (every built-in formula is such a
-	// sum).
-	termQ []ranking.QueryStats
-	termC []ranking.CollectionStats
 	// order lists keyword indices by descending list-level ceiling —
 	// the MaxScore evaluation order for the document-level suffix bound.
 	order []int
@@ -205,15 +197,15 @@ type prunedQuery struct {
 	k         int
 }
 
-// termUpperBound evaluates one keyword's summand ceiling, routing
-// through the int32 BoundedScorer surface. A term frequency beyond
-// int32 cannot be represented there, so it disables pruning for the
-// container (+Inf) rather than risk an under-estimate.
-func termUpperBound(b ranking.BoundedScorer, q ranking.QueryStats, maxTF uint32, minLen int32, c ranking.CollectionStats) float64 {
+// kernelTermBound evaluates keyword i's summand ceiling through the
+// kernel's int32 TermBound surface. A term frequency beyond int32 cannot
+// be represented there, so it disables pruning for the container (+Inf)
+// rather than risk an under-estimate.
+func kernelTermBound(k ranking.Kernel, i int, maxTF uint32, minLen int32) float64 {
 	if maxTF > math.MaxInt32 {
 		return math.Inf(1)
 	}
-	return b.UpperBound(q, int32(maxTF), minLen, c)
+	return k.TermBound(i, int32(maxTF), minLen)
 }
 
 // newPrunedQuery assembles the shared pruned-query state. Caller has
@@ -221,36 +213,19 @@ func termUpperBound(b ranking.BoundedScorer, q ranking.QueryStats, maxTF uint32,
 func (e *Engine) newPrunedQuery(a analyzed, kw, preds []*postings.List, cs ranking.CollectionStats, k int) *prunedQuery {
 	nk := len(kw)
 	pq := &prunedQuery{
-		qs:      ranking.NewQueryStats(a.kwStream),
-		cs:      cs,
-		bounded: e.scorer.(ranking.BoundedScorer),
-		indexed: e.scorer.(ranking.IndexedScorer),
-		all:     make([]*postings.List, 0, nk+len(preds)),
-		nk:      nk,
-		termQ:   make([]ranking.QueryStats, nk),
-		termC:   make([]ranking.CollectionStats, nk),
-		order:   make([]int, nk),
-		k:       k,
+		// a.kwTerms is distinct first-occurrence order — the kernel's
+		// term positions — and kw is aligned with it.
+		kern:  e.scorer.(ranking.PreparedScorer).Prepare(ranking.NewQueryStats(a.kwStream), cs),
+		all:   make([]*postings.List, 0, nk+len(preds)),
+		nk:    nk,
+		order: make([]int, nk),
+		k:     k,
 	}
 	pq.all = append(pq.all, kw...)
 	pq.all = append(pq.all, preds...)
-	// a.kwTerms is distinct first-occurrence order — the canonical
-	// summation order ScoreIndexed uses.
-	pq.cs.IndexTerms(a.kwTerms)
 	listUB := make([]float64, nk)
-	for i, w := range a.kwTerms {
-		rep := make([]string, pq.qs.TQ[w])
-		for j := range rep {
-			rep[j] = w
-		}
-		pq.termQ[i] = ranking.NewQueryStats(rep)
-		pq.termC[i] = ranking.CollectionStats{
-			N:        cs.N,
-			TotalLen: cs.TotalLen,
-			DF:       map[string]int64{w: cs.DF[w]},
-			TC:       map[string]int64{w: cs.TC[w]},
-		}
-		listUB[i] = termUpperBound(pq.bounded, pq.termQ[i], kw[i].MaxTF(), kw[i].MinDocLen(), pq.termC[i])
+	for i := range kw {
+		listUB[i] = kernelTermBound(pq.kern, i, kw[i].MaxTF(), kw[i].MinDocLen())
 		pq.order[i] = i
 	}
 	sort.SliceStable(pq.order, func(x, y int) bool {
@@ -339,7 +314,7 @@ func (w *prunedWorker) enterContainer() {
 	}
 	for i := 0; i < pq.nk; i++ {
 		b, _ := w.curs[i].ContainerBound()
-		w.cUB[i] = termUpperBound(pq.bounded, pq.termQ[i], b.MaxTF, w.eff, pq.termC[i])
+		w.cUB[i] = kernelTermBound(pq.kern, i, b.MaxTF, w.eff)
 	}
 	w.suffix[pq.nk] = 0
 	w.suffixAbs[pq.nk] = 0
@@ -362,7 +337,7 @@ func (w *prunedWorker) enterContainer() {
 				n = memoCap
 			}
 			for tf := uint32(0); tf <= n; tf++ {
-				tb := termUpperBound(pq.bounded, pq.termQ[pq.driver], tf, w.eff, pq.termC[pq.driver])
+				tb := kernelTermBound(pq.kern, pq.driver, tf, w.eff)
 				w.stagedUB = append(w.stagedUB, tb+w.othersUB+boundFPMargin*(math.Abs(tb)+w.othersAbs))
 			}
 		}
@@ -391,7 +366,7 @@ func (w *prunedWorker) rebuildMask(tau float64) {
 // frequency in the current container, memoized per (container, tf).
 func (w *prunedWorker) termBound(i int, tf uint32) float64 {
 	if tf > memoCap {
-		return termUpperBound(w.pq.bounded, w.pq.termQ[i], tf, w.eff, w.pq.termC[i])
+		return kernelTermBound(w.pq.kern, i, tf, w.eff)
 	}
 	m := w.memo[i]
 	for len(m) <= int(tf) {
@@ -401,7 +376,7 @@ func (w *prunedWorker) termBound(i int, tf uint32) float64 {
 		w.memo[i] = m
 		return v
 	}
-	v := termUpperBound(w.pq.bounded, w.pq.termQ[i], tf, w.eff, w.pq.termC[i])
+	v := kernelTermBound(w.pq.kern, i, tf, w.eff)
 	m[tf] = v
 	w.memo[i] = m
 	return v
@@ -587,8 +562,7 @@ func (w *prunedWorker) run(ctx context.Context, lo uint32, hi uint64) error {
 			for i := 0; i < pq.nk; i++ {
 				tf[i] = int64(w.curs[i].TF())
 			}
-			ds := ranking.DocStats{TFs: tf, Len: w.e.ix.FieldLen(d, w.e.contentField)}
-			w.top.push(Result{DocID: d, Score: pq.indexed.ScoreIndexed(pq.qs, ds, pq.cs)})
+			w.top.push(Result{DocID: d, Score: pq.kern.Score(tf, w.e.docLen(d))})
 			if w.top.full() {
 				w.shared.raise(w.top.floor())
 				tau = threshold(w.top, w.shared)

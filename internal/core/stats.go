@@ -135,9 +135,7 @@ func (e *Engine) statsStraightforward(ctx context.Context, a analyzed, kw, preds
 	// a word-AND + popcount over dense predicate containers — without
 	// materializing the context.
 	var err error
-	cs.N, cs.TotalLen, err = postings.CountSumCtx(ctx, preds, func(d uint32) int64 {
-		return e.ix.FieldLen(d, e.contentField)
-	}, st)
+	cs.N, cs.TotalLen, err = postings.CountSumCtx(ctx, preds, e.docLen, st)
 	if err != nil {
 		return cs, err
 	}

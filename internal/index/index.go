@@ -162,6 +162,12 @@ func (ix *Index) FieldLen(doc DocID, field string) int64 {
 	return int64(ls[doc])
 }
 
+// FieldLens returns field's per-document length column, indexed by
+// DocID (nil for an unknown field). The slice is shared — over a mapped
+// index it aliases the mapping — and must not be modified. Scoring loops
+// resolve it once instead of calling FieldLen per document.
+func (ix *Index) FieldLens(field string) []int32 { return ix.lengths[field] }
+
 // TotalFieldLen returns Σ_d len(d) over the whole collection for field
 // (len(D) in the paper).
 func (ix *Index) TotalFieldLen(field string) int64 {

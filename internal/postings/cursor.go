@@ -39,6 +39,11 @@ type cursor struct {
 	// chunk whose payload has not been materialized. gpos is exact
 	// (offsets[ci]); cur/ki/bit/rank are not yet valid.
 	pending bool
+	// segEnd is the global end (capped at the list length) of the M0
+	// segment the last slow-path seek charge landed in; 0 before any.
+	// The cursor only moves forward, so a seek that starts and lands
+	// below it stays inside that segment (see chargeSeek).
+	segEnd int
 }
 
 func newCursor(l *List, st *Stats) *cursor {
@@ -282,14 +287,22 @@ func (c *cursor) advanceTo(target uint32) {
 // chargeSeek reports the M0 cost model's charge for a seek that moved the
 // global position from old to pos: every segment wholly below the landing
 // point is skipped, and the landing segment is scanned up to the landing
-// entry — exactly the charge of a skip-table walk.
+// entry — exactly the charge of a skip-table walk. A seek landing inside
+// the segment of the previous charge (the common short hop) charges its
+// entries without the segment divisions.
 func (c *cursor) chargeSeek(old, pos int) {
+	if pos < c.segEnd && old < c.segEnd {
+		c.st.addEntries(int64(pos - old))
+		return
+	}
 	m := c.l.segSize
 	sOld := old / m
 	sMin := pos / m
 	if pos >= c.l.n {
 		// Past the end: every remaining segment was skipped.
 		sMin = (c.l.n + m - 1) / m
+	} else {
+		c.segEnd = min((sMin+1)*m, c.l.n)
 	}
 	if sMin > sOld {
 		c.st.addSkipped(int64(sMin - sOld))

@@ -46,26 +46,45 @@ func (m *BM25) Score(q QueryStats, d DocStats, c CollectionStats) float64 {
 	return score
 }
 
-// ScoreIndexed implements IndexedScorer: the same formula over the
-// term-indexed slices, map-free and allocation-free.
-func (m *BM25) ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64 {
-	avgdl := c.AvgDocLen()
-	if avgdl <= 0 {
-		return 0
-	}
-	var score float64
-	for i := range c.Terms {
-		tf := float64(d.TFs[i])
-		if tf <= 0 {
-			continue
-		}
-		df := float64(c.DFs[i])
+// Prepare implements PreparedScorer: avgdl, k1+1, 1-b, tq and each
+// term's idf are fixed for the query; the length factor
+// k1·(1-b+b·len(d)/avgdl) is computed once per document, not per term.
+func (m *BM25) Prepare(q QueryStats, c CollectionStats) Kernel {
+	terms := q.DistinctTerms()
+	k := &bm25Kernel{k1: m.K1, b: m.B, k1p1: m.K1 + 1, oneMinusB: 1 - m.B, avgdl: c.AvgDocLen()}
+	columns(len(terms), &k.tq, &k.idf)
+	for i, w := range terms {
+		df := float64(c.DF[w])
 		if df < 1 {
 			df = 1
 		}
-		idf := math.Log(1 + (float64(c.N)-df+0.5)/(df+0.5))
-		denom := tf + m.K1*(1-m.B+m.B*float64(d.Len)/avgdl)
-		score += idf * (tf * (m.K1 + 1) / denom) * float64(q.TQs[i])
+		k.tq[i] = float64(q.TQ[w])
+		k.idf[i] = math.Log(1 + (float64(c.N)-df+0.5)/(df+0.5))
+	}
+	return k
+}
+
+// bm25Kernel is BM25 prepared for one query.
+type bm25Kernel struct {
+	k1, b, k1p1, oneMinusB, avgdl float64
+	tq, idf                       []float64
+}
+
+// Score implements Kernel.
+func (k *bm25Kernel) Score(tfs []int64, docLen int64) float64 {
+	if k.avgdl <= 0 {
+		return 0
+	}
+	lenPart := k.k1 * (k.oneMinusB + k.b*float64(docLen)/k.avgdl)
+	tfs = tfs[:len(k.idf)]
+	var score float64
+	for i, t := range tfs {
+		tf := float64(t)
+		if tf <= 0 {
+			continue
+		}
+		denom := tf + lenPart
+		score += k.idf[i] * (tf * k.k1p1 / denom) * k.tq[i]
 	}
 	return score
 }

@@ -70,6 +70,25 @@ func (p *PivotedTFIDF) UpperBound(q QueryStats, maxTF int32, minLen int32, c Col
 	return bound
 }
 
+// TermBound implements Kernel: UpperBound's summand for keyword i.
+func (k *pivotedKernel) TermBound(i int, maxTF int32, minLen int32) float64 {
+	if k.avgdl <= 0 {
+		return 0
+	}
+	norm := k.oneMinusS + k.s*float64(minLen)/k.avgdl
+	if norm <= 0 {
+		return math.Inf(1)
+	}
+	if maxTF < 1 {
+		return 0
+	}
+	tfPart := logLogTF(int64(maxTF)) / norm
+	if t := tfPart * k.tq[i] * k.idf[i]; t > 0 {
+		return t
+	}
+	return 0
+}
+
 // UpperBound implements BoundedScorer. The BM25 summand
 // idf·tf(k1+1)/(tf+K(len))·tq is increasing in tf and decreasing in len
 // (K grows with len when b ≥ 0), so it is maximized at (maxTF, minLen);
@@ -105,6 +124,29 @@ func (m *BM25) UpperBound(q QueryStats, maxTF int32, minLen int32, c CollectionS
 	return bound
 }
 
+// TermBound implements Kernel: UpperBound's summand for keyword i.
+func (k *bm25Kernel) TermBound(i int, maxTF int32, minLen int32) float64 {
+	if k.avgdl <= 0 {
+		return 0
+	}
+	if maxTF < 1 {
+		return 0
+	}
+	if k.k1 < 0 || k.b < 0 || k.b > 1 {
+		return math.Inf(1)
+	}
+	tf := float64(maxTF)
+	lenPart := k.k1 * (k.oneMinusB + k.b*float64(minLen)/k.avgdl)
+	if lenPart < 0 {
+		lenPart = 0
+	}
+	tfPart := tf * k.k1p1 / (tf + lenPart)
+	if t := k.idf[i] * tfPart * k.tq[i]; t > 0 {
+		return t
+	}
+	return 0
+}
+
 // UpperBound implements BoundedScorer. The Dirichlet summand
 // tq·ln((tf+μp)/((len+μ)p)) is increasing in tf and decreasing in len,
 // so its maximum over the container is at (maxTF, minLen). Note the
@@ -133,6 +175,24 @@ func (m *DirichletLM) UpperBound(q QueryStats, maxTF int32, minLen int32, c Coll
 		pwc := tc / float64(c.TotalLen)
 		bound += float64(q.TQ[w]) * math.Log((tf+m.Mu*pwc)/(den*pwc))
 	}
+	return bound
+}
+
+// TermBound implements Kernel: UpperBound's summand for keyword i.
+func (k *dirichletKernel) TermBound(i int, maxTF int32, minLen int32) float64 {
+	if k.empty {
+		return 0
+	}
+	if k.mu <= 0 || float64(minLen)+k.mu <= 0 {
+		return math.Inf(1)
+	}
+	tf := float64(maxTF)
+	if tf < 0 {
+		tf = 0
+	}
+	den := float64(minLen) + k.mu
+	var bound float64 // 0 + summand, as UpperBound sums: -0 becomes +0
+	bound += k.tq[i] * math.Log((tf+k.muPwc[i])/(den*k.pwc[i]))
 	return bound
 }
 
@@ -166,6 +226,25 @@ func (c *CosineTFIDF) UpperBound(q QueryStats, maxTF int32, minLen int32, cs Col
 	return bound
 }
 
+// TermBound implements Kernel: UpperBound's summand for keyword i.
+func (k *cosineKernel) TermBound(i int, maxTF int32, minLen int32) float64 {
+	if k.empty {
+		return 0
+	}
+	if maxTF < 1 {
+		return 0
+	}
+	effLen := float64(minLen)
+	if effLen < 1 {
+		effLen = 1
+	}
+	tfPart := logTF(int64(maxTF)) / math.Sqrt(effLen)
+	if t := tfPart * k.idf[i] * k.tq[i]; t > 0 {
+		return t
+	}
+	return 0
+}
+
 // UpperBound implements BoundedScorer. The Jelinek-Mercer summand
 // tq·ln(1 + (1-λ)·tf/(len·λ·p)) is increasing in tf, decreasing in len,
 // and always ≥ 0, so the bound evaluates it at (maxTF, max(minLen, 1)).
@@ -193,5 +272,26 @@ func (m *JelinekMercerLM) UpperBound(q QueryStats, maxTF int32, minLen int32, c 
 		pwc := tc / float64(c.TotalLen)
 		bound += float64(q.TQ[w]) * math.Log(1+(1-m.Lambda)*tf/(effLen*m.Lambda*pwc))
 	}
+	return bound
+}
+
+// TermBound implements Kernel: UpperBound's summand for keyword i.
+func (k *jmKernel) TermBound(i int, maxTF int32, minLen int32) float64 {
+	if k.empty {
+		return 0
+	}
+	if k.lambda <= 0 || k.lambda > 1 {
+		return math.Inf(1)
+	}
+	if maxTF < 1 {
+		return 0
+	}
+	effLen := float64(minLen)
+	if effLen < 1 {
+		effLen = 1
+	}
+	tf := float64(maxTF)
+	var bound float64 // 0 + summand, as UpperBound sums
+	bound += k.tq[i] * math.Log(1+k.oneMinusL*tf/(effLen*k.lambda*k.pwc[i]))
 	return bound
 }

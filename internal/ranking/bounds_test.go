@@ -50,8 +50,8 @@ func randomContextStats(rng *rand.Rand, terms []string) CollectionStats {
 // TestScoreNeverExceedsUpperBound is the pruning-safety property: for
 // every scorer, any document with per-term tf ≤ maxTF and len ≥ minLen
 // must score at or below UpperBound(maxTF, minLen). Both the map path
-// (Score) and the slice path (ScoreIndexed) are checked — the pruned
-// loop scores through ScoreIndexed.
+// (Score) and the prepared kernel are checked — the pruned loop scores
+// through the kernel.
 func TestScoreNeverExceedsUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 400; trial++ {
@@ -66,7 +66,6 @@ func TestScoreNeverExceedsUpperBound(t *testing.T) {
 		}
 		qs := NewQueryStats(stream)
 		cs := randomContextStats(rng, terms)
-		cs.IndexTerms(terms)
 		maxTF := int32(rng.Intn(60)) // 0 is legal: a container of tf-0 ghosts cannot exist, but the bound must still hold
 		minLen := int32(1 + rng.Intn(400))
 
@@ -75,7 +74,7 @@ func TestScoreNeverExceedsUpperBound(t *testing.T) {
 			if math.IsNaN(ub) {
 				t.Fatalf("trial %d %s: UpperBound is NaN", trial, sc.Name())
 			}
-			indexed := sc.(IndexedScorer)
+			kernel := sc.(PreparedScorer).Prepare(qs, cs)
 			for doc := 0; doc < 25; doc++ {
 				ln := int64(minLen) + int64(rng.Intn(500))
 				if ln < 1 {
@@ -89,14 +88,14 @@ func TestScoreNeverExceedsUpperBound(t *testing.T) {
 					tfs[i] = v
 				}
 				score := sc.Score(qs, DocStats{TF: tfm, Len: ln}, cs)
-				scoreIx := indexed.ScoreIndexed(qs, DocStats{TFs: tfs, Len: ln}, cs)
+				scoreIx := kernel.Score(tfs, ln)
 				tol := 1e-9 * math.Max(1, math.Abs(ub))
 				if score > ub+tol {
 					t.Fatalf("trial %d %s: Score %v > UpperBound %v (maxTF=%d minLen=%d len=%d tf=%v)",
 						trial, sc.Name(), score, ub, maxTF, minLen, ln, tfs)
 				}
 				if scoreIx > ub+tol {
-					t.Fatalf("trial %d %s: ScoreIndexed %v > UpperBound %v (maxTF=%d minLen=%d len=%d tf=%v)",
+					t.Fatalf("trial %d %s: kernel Score %v > UpperBound %v (maxTF=%d minLen=%d len=%d tf=%v)",
 						trial, sc.Name(), scoreIx, ub, maxTF, minLen, ln, tfs)
 				}
 			}
@@ -114,7 +113,6 @@ func TestUpperBoundTightAtCeiling(t *testing.T) {
 		DF: map[string]int64{"a": 10, "b": 50},
 		TC: map[string]int64{"a": 30, "b": 200},
 	}
-	cs.IndexTerms([]string{"a", "b"})
 	const maxTF, minLen = 7, 40
 	for _, sc := range []BoundedScorer{NewPivotedTFIDF(), NewBM25(), NewDirichletLM(), NewCosineTFIDF(), NewJelinekMercerLM()} {
 		ub := sc.UpperBound(qs, maxTF, minLen, cs)

@@ -52,26 +52,47 @@ func (m *DirichletLM) Score(q QueryStats, d DocStats, c CollectionStats) float64
 	return score
 }
 
-// ScoreIndexed implements IndexedScorer: the same smoothed likelihood
-// over the term-indexed slices, map-free and allocation-free.
-func (m *DirichletLM) ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64 {
-	if c.TotalLen <= 0 {
-		return 0
-	}
-	var score float64
-	for i := range c.Terms {
-		tf := float64(d.TFs[i])
-		tc := float64(c.TCs[i])
+// Prepare implements PreparedScorer: tq, each term's collection
+// probability p(w|C) and μ·p(w|C) are fixed for the query.
+func (m *DirichletLM) Prepare(q QueryStats, c CollectionStats) Kernel {
+	terms := q.DistinctTerms()
+	k := &dirichletKernel{mu: m.Mu, empty: c.TotalLen <= 0}
+	columns(len(terms), &k.tq, &k.pwc, &k.muPwc)
+	for i, w := range terms {
+		tc := float64(c.TC[w])
 		if tc <= 0 {
 			tc = 0.5
 		}
-		pwc := tc / float64(c.TotalLen)
-		num := tf + m.Mu*pwc
-		den := float64(d.Len) + m.Mu
+		k.tq[i] = float64(q.TQ[w])
+		k.pwc[i] = tc / float64(c.TotalLen)
+		k.muPwc[i] = m.Mu * k.pwc[i]
+	}
+	return k
+}
+
+// dirichletKernel is the Dirichlet-smoothed likelihood prepared for one
+// query. empty marks a collection of length 0, which scores everything 0.
+type dirichletKernel struct {
+	mu             float64
+	empty          bool
+	tq, pwc, muPwc []float64
+}
+
+// Score implements Kernel. Every keyword contributes, tf = 0 included:
+// the smoothed model scores absent terms too.
+func (k *dirichletKernel) Score(tfs []int64, docLen int64) float64 {
+	if k.empty {
+		return 0
+	}
+	den := float64(docLen) + k.mu
+	tfs = tfs[:len(k.pwc)]
+	var score float64
+	for i, t := range tfs {
+		num := float64(t) + k.muPwc[i]
 		if num <= 0 || den <= 0 {
 			continue
 		}
-		score += float64(q.TQs[i]) * math.Log(num/den/pwc)
+		score += k.tq[i] * math.Log(num/den/k.pwc[i])
 	}
 	return score
 }

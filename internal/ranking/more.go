@@ -43,24 +43,43 @@ func (c *CosineTFIDF) Score(q QueryStats, d DocStats, cs CollectionStats) float6
 	return score
 }
 
-// ScoreIndexed implements IndexedScorer over the term-indexed slices.
-func (c *CosineTFIDF) ScoreIndexed(q QueryStats, d DocStats, cs CollectionStats) float64 {
-	if d.Len <= 0 || cs.N <= 0 {
-		return 0
-	}
-	norm := math.Sqrt(float64(d.Len))
-	var score float64
-	for i := range cs.Terms {
-		tf := float64(d.TFs[i])
-		if tf <= 0 {
-			continue
-		}
-		df := float64(cs.DFs[i])
+// Prepare implements PreparedScorer: tq and each term's idf are fixed
+// for the query, and 1 + ln tf is tabled for small tf.
+func (c *CosineTFIDF) Prepare(q QueryStats, cs CollectionStats) Kernel {
+	terms := q.DistinctTerms()
+	k := &cosineKernel{empty: cs.N <= 0}
+	columns(len(terms), &k.tq, &k.idf)
+	for i, w := range terms {
+		df := float64(cs.DF[w])
 		if df < 1 {
 			df = 1
 		}
-		idf := math.Log(float64(cs.N)/df) + 1
-		score += (1 + math.Log(tf)) * idf * float64(q.TQs[i]) / norm
+		k.tq[i] = float64(q.TQ[w])
+		k.idf[i] = math.Log(float64(cs.N)/df) + 1
+	}
+	return k
+}
+
+// cosineKernel is the cosine TF-IDF model prepared for one query. empty
+// marks an empty collection, which scores everything 0.
+type cosineKernel struct {
+	empty   bool
+	tq, idf []float64
+}
+
+// Score implements Kernel.
+func (k *cosineKernel) Score(tfs []int64, docLen int64) float64 {
+	if docLen <= 0 || k.empty {
+		return 0
+	}
+	norm := math.Sqrt(float64(docLen))
+	tfs = tfs[:len(k.idf)]
+	var score float64
+	for i, tf := range tfs {
+		if tf <= 0 {
+			continue
+		}
+		score += logTF(tf) * k.idf[i] * k.tq[i] / norm
 	}
 	return score
 }
@@ -103,24 +122,46 @@ func (m *JelinekMercerLM) Score(q QueryStats, d DocStats, c CollectionStats) flo
 	return score
 }
 
-// ScoreIndexed implements IndexedScorer over the term-indexed slices.
-func (m *JelinekMercerLM) ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64 {
-	if c.TotalLen <= 0 || d.Len <= 0 {
-		return 0
-	}
-	var score float64
-	for i := range c.Terms {
-		tf := float64(d.TFs[i])
-		if tf <= 0 {
-			continue
-		}
-		tc := float64(c.TCs[i])
+// Prepare implements PreparedScorer: 1-λ, tq, each term's collection
+// probability p(w|C) and λ·p(w|C) are fixed for the query.
+func (m *JelinekMercerLM) Prepare(q QueryStats, c CollectionStats) Kernel {
+	terms := q.DistinctTerms()
+	k := &jmKernel{lambda: m.Lambda, oneMinusL: 1 - m.Lambda, empty: c.TotalLen <= 0}
+	columns(len(terms), &k.tq, &k.pwc, &k.lpwc)
+	for i, w := range terms {
+		tc := float64(c.TC[w])
 		if tc <= 0 {
 			tc = 0.5
 		}
-		pwc := tc / float64(c.TotalLen)
-		pwd := (1-m.Lambda)*tf/float64(d.Len) + m.Lambda*pwc
-		score += float64(q.TQs[i]) * math.Log(pwd/(m.Lambda*pwc))
+		k.tq[i] = float64(q.TQ[w])
+		k.pwc[i] = tc / float64(c.TotalLen)
+		k.lpwc[i] = m.Lambda * k.pwc[i]
+	}
+	return k
+}
+
+// jmKernel is the Jelinek-Mercer likelihood prepared for one query. empty
+// marks a collection of length 0, which scores everything 0.
+type jmKernel struct {
+	lambda, oneMinusL float64
+	empty             bool
+	tq, pwc, lpwc     []float64
+}
+
+// Score implements Kernel.
+func (k *jmKernel) Score(tfs []int64, docLen int64) float64 {
+	if k.empty || docLen <= 0 {
+		return 0
+	}
+	tfs = tfs[:len(k.pwc)]
+	var score float64
+	for i, t := range tfs {
+		tf := float64(t)
+		if tf <= 0 {
+			continue
+		}
+		pwd := k.oneMinusL*tf/float64(docLen) + k.lpwc[i]
+		score += k.tq[i] * math.Log(pwd/k.lpwc[i])
 	}
 	return score
 }

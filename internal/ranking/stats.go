@@ -13,10 +13,6 @@ type QueryStats struct {
 	Terms []string
 	// TQ is tq(w, Q): the occurrence count of each distinct keyword.
 	TQ map[string]int
-	// TQs is tq(w, Q) indexed by distinct-term position (aligned with
-	// DistinctTerms). It is the map-free view scorers use on the
-	// allocation-lean path; NewQueryStats always fills it.
-	TQs []int
 	// distinct caches the distinct keywords in first-occurrence order.
 	// Scorers iterate it (not the TQ map) so floating-point summation
 	// order — and therefore tie-breaking — is deterministic across calls.
@@ -33,11 +29,7 @@ func NewQueryStats(terms []string) QueryStats {
 		}
 		tq[t]++
 	}
-	tqs := make([]int, len(distinct))
-	for i, t := range distinct {
-		tqs[i] = tq[t]
-	}
-	return QueryStats{Terms: terms, TQ: tq, TQs: tqs, distinct: distinct}
+	return QueryStats{Terms: terms, TQ: tq, distinct: distinct}
 }
 
 // Len returns the query length len(Q).
@@ -69,11 +61,6 @@ func (q QueryStats) DistinctTerms() []string {
 type DocStats struct {
 	// TF maps each query keyword to its term count in the document.
 	TF map[string]int64
-	// TFs is tf(w, d) indexed by distinct-term position (aligned with
-	// CollectionStats.Terms). The scoring hot path fills a reused buffer
-	// here instead of writing the TF map, so scoring a document performs
-	// zero map operations and zero allocations.
-	TFs []int64
 	// Len is the document length len(d) in analyzed tokens.
 	Len int64
 }
@@ -96,35 +83,6 @@ type CollectionStats struct {
 	// UniqueTerms is utc(D), the dictionary size (0 if unknown; scorers
 	// that need it fall back to a constant).
 	UniqueTerms int64
-
-	// Terms, DFs and TCs are the term-indexed representation of DF/TC:
-	// DFs[i] = df(Terms[i]) and TCs[i] = tc(Terms[i]). Terms must be the
-	// query's distinct keywords in first-occurrence order (the same order
-	// QueryStats.DistinctTerms iterates) so the slice-based scoring loop
-	// sums in exactly the same floating-point order as the map-based one
-	// and rankings stay bit-identical across the two paths. The DF/TC
-	// maps remain as a compatibility view for scorers that predate the
-	// indexed path. Fill via IndexTerms.
-	Terms []string
-	DFs   []int64
-	TCs   []int64
-}
-
-// IndexTerms populates the term-indexed slices from the DF/TC maps for
-// the given distinct terms (in first-occurrence order). Existing slices
-// are reused when capacity allows.
-func (c *CollectionStats) IndexTerms(terms []string) {
-	c.Terms = terms
-	if cap(c.DFs) < len(terms) {
-		c.DFs = make([]int64, len(terms))
-		c.TCs = make([]int64, len(terms))
-	}
-	c.DFs = c.DFs[:len(terms)]
-	c.TCs = c.TCs[:len(terms)]
-	for i, w := range terms {
-		c.DFs[i] = c.DF[w]
-		c.TCs[i] = c.TC[w]
-	}
 }
 
 // AvgDocLen returns avgdl = len(D)/|D| (Formula 3's pivot), or 0 for an
@@ -138,24 +96,12 @@ func (c CollectionStats) AvgDocLen() float64 {
 
 // Scorer is the ranking function f of Formulas 1–2: it combines the three
 // statistics scopes into a single relevance score. Higher is better.
-// Implementations must be safe for concurrent use.
+// Implementations must be safe for concurrent use. Score is the
+// definition of the model; the engine evaluates it through a per-query
+// Kernel (see PreparedScorer), which every built-in scorer provides.
 type Scorer interface {
 	// Name identifies the model in reports ("pivoted-tfidf", "bm25", ...).
 	Name() string
 	// Score computes score(Q, d) given the three statistics scopes.
 	Score(q QueryStats, d DocStats, c CollectionStats) float64
-}
-
-// IndexedScorer is an optional Scorer extension: ScoreIndexed computes
-// exactly the same value as Score but reads the term-indexed slice
-// statistics (QueryStats.TQs, DocStats.TFs, CollectionStats.DFs/TCs
-// aligned with CollectionStats.Terms) instead of the maps, so scoring one
-// document performs zero map lookups and zero allocations. The engine
-// takes this path whenever the scorer supports it and falls back to
-// Score otherwise; every built-in scorer implements it. Implementations
-// must iterate terms in index order — that is the map path's summation
-// order, which keeps the two paths bit-identical.
-type IndexedScorer interface {
-	Scorer
-	ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64
 }

@@ -55,30 +55,46 @@ func (p *PivotedTFIDF) Score(q QueryStats, d DocStats, c CollectionStats) float6
 	return score
 }
 
-// ScoreIndexed implements IndexedScorer: the Formula 3 loop over the
-// term-indexed slices, map-free and allocation-free.
-func (p *PivotedTFIDF) ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64 {
-	avgdl := c.AvgDocLen()
-	if avgdl <= 0 {
-		return 0
-	}
-	norm := (1 - p.S) + p.S*float64(d.Len)/avgdl
-	if norm <= 0 {
-		return 0
-	}
-	var score float64
-	for i := range c.Terms {
-		tf := d.TFs[i]
-		if tf <= 0 {
-			continue
-		}
-		df := c.DFs[i]
+// Prepare implements PreparedScorer: avgdl, 1-s, tq and each term's idf
+// are fixed for the query, and 1 + ln(1 + ln tf) is tabled for small tf.
+func (p *PivotedTFIDF) Prepare(q QueryStats, c CollectionStats) Kernel {
+	terms := q.DistinctTerms()
+	k := &pivotedKernel{s: p.S, oneMinusS: 1 - p.S, avgdl: c.AvgDocLen()}
+	columns(len(terms), &k.tq, &k.idf)
+	for i, w := range terms {
+		df := c.DF[w]
 		if df < 1 {
 			df = 1
 		}
-		tfPart := (1 + math.Log(1+math.Log(float64(tf)))) / norm
-		idf := math.Log((float64(c.N) + 1) / float64(df))
-		score += tfPart * float64(q.TQs[i]) * idf
+		k.tq[i] = float64(q.TQ[w])
+		k.idf[i] = math.Log((float64(c.N) + 1) / float64(df))
+	}
+	return k
+}
+
+// pivotedKernel is Formula 3 prepared for one query.
+type pivotedKernel struct {
+	s, oneMinusS, avgdl float64
+	tq, idf             []float64
+}
+
+// Score implements Kernel.
+func (k *pivotedKernel) Score(tfs []int64, docLen int64) float64 {
+	if k.avgdl <= 0 {
+		return 0
+	}
+	norm := k.oneMinusS + k.s*float64(docLen)/k.avgdl
+	if norm <= 0 {
+		return 0
+	}
+	tfs = tfs[:len(k.idf)]
+	var score float64
+	for i, tf := range tfs {
+		if tf <= 0 {
+			continue
+		}
+		tfPart := logLogTF(tf) / norm
+		score += tfPart * k.tq[i] * k.idf[i]
 	}
 	return score
 }

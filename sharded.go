@@ -232,7 +232,7 @@ func IsSharded(dir string) bool { return shard.IsSharded(dir) }
 
 // OpenSharded loads a cluster saved by ShardedEngine.Save, honoring the
 // runtime options (Scorer, CacheContexts, CostBasedPlanning,
-// Parallelism, Timeout, StatsBudget, Pruning) on every shard.
+// Parallelism, Timeout, StatsBudget, DisablePruning) on every shard.
 func OpenSharded(dir string, opts BuildOptions) (*ShardedEngine, error) {
 	sc, err := opts.Scorer.build()
 	if err != nil {
